@@ -3,18 +3,17 @@
 A robustness grid evaluates every registered estimation method on measured
 (noisy) data for each ``(jitter, loss)`` combination.  Before this engine,
 each grid cell re-ran the entropy and tomogravity methods through the
-generic cold-start per-snapshot loop — the dominant cost of a cell — and
-the grid itself ran strictly serially.
+generic per-snapshot loop with a cold L-BFGS-B solve over the demands — the
+dominant cost of a cell — and the grid itself ran strictly serially.
 
-The new engine (``robustness_sweep(n_jobs=...)`` +
-``EntropyEstimator.estimate_series``) warm-starts each snapshot's solve
-from the previous solution with damped Newton refinement, shares each
-cell's scenario problems, and fans independent grid cells out over a
-process pool.  This benchmark times the legacy engine (re-implemented
-below: same cells, same scoring, entropy/tomogravity through the generic
-loop exactly as ``Estimator.estimate_series`` ran them) against the new
-one, verifies that serial and parallel runs of the new engine return
-identical records, and appends the measurement to ``BENCH_PR3.json``.
+The engine (``robustness_sweep(n_jobs=...)``) shares each cell's scenario
+problems, solves entropy and tomogravity by Newton's method on their
+link-space duals, and fans independent grid cells out over a process pool.
+This benchmark times the legacy engine (re-implemented below: same cells,
+same scoring, entropy/tomogravity through a benchmark-local cold L-BFGS-B
+solve exactly as the pre-engine estimator ran them) against the new one,
+verifies that serial and parallel runs of the new engine return identical
+records, and appends the measurement to ``BENCH_PR3.json``.
 
 Run directly (CI uses a relaxed threshold for slower shared runners)::
 
@@ -52,17 +51,54 @@ METHODS = (
 )
 SEED = 0
 
-#: Methods that had no batched ``estimate_series`` before this engine and
-#: therefore ran through the generic cold-start per-snapshot loop.
+#: Methods the pre-engine grid solved by cold L-BFGS-B per snapshot; with
+#: their default parameters both minimise the same entropy objective.
 LEGACY_GENERIC = {"entropy", "tomogravity"}
 
+#: The pre-engine entropy solver: regularisation and gravity prior of the
+#: default estimator, L-BFGS-B with a tiny positive lower bound.
+LEGACY_REGULARIZATION = 1000.0
+LEGACY_FLOOR = 1e-9
 
-def legacy_generic_series(estimator, problem):
+
+def legacy_entropy_estimate(problem):
+    """Cold L-BFGS-B minimisation of the entropy objective over the demands."""
+    import scipy.optimize
+
+    from repro.estimation.priors import make_prior
+
+    prior = make_prior(problem, "gravity")
+    free = prior > 0
+    routing = problem.routing.select_pairs(np.flatnonzero(free))
+    support = prior[free]
+    snapshot = problem.snapshot
+    weight = float(prior.sum()) / LEGACY_REGULARIZATION
+
+    def objective_and_gradient(x):
+        residual = routing.matvec(x) - snapshot
+        ratio = np.maximum(x, LEGACY_FLOOR) / support
+        value = residual @ residual + weight * np.sum(x * np.log(ratio) - x + support)
+        return float(value), 2.0 * routing.rmatvec(residual) + weight * np.log(ratio)
+
+    outcome = scipy.optimize.minimize(
+        objective_and_gradient,
+        x0=support.copy(),
+        jac=True,
+        method="L-BFGS-B",
+        bounds=[(LEGACY_FLOOR, None)] * support.size,
+        options={"maxiter": 2000, "ftol": 1e-12, "gtol": 1e-10},
+    )
+    values = np.zeros(problem.num_pairs)
+    values[free] = outcome.x
+    return values
+
+
+def legacy_generic_series(problem):
     """The pre-engine series path: independent cold-start snapshot solves."""
     series = problem.series
     estimates = np.empty((series.shape[0], problem.num_pairs))
     for index in range(series.shape[0]):
-        estimates[index] = estimator.estimate(problem.at_snapshot(index)).vector
+        estimates[index] = legacy_entropy_estimate(problem.at_snapshot(index))
     return estimates
 
 
@@ -85,12 +121,11 @@ def legacy_robustness_grid(scenario):
             truth_series = measured.busy_series()
             truth_mean = truth_series.mean_matrix()
             for name in METHODS:
-                estimator = get_estimator(name)
                 try:
                     if name in LEGACY_GENERIC:
-                        estimates = legacy_generic_series(estimator, problem)
+                        estimates = legacy_generic_series(problem)
                     else:
-                        estimates = estimator.estimate_series(problem).estimates
+                        estimates = get_estimator(name).estimate_series(problem).estimates
                     mean_estimate = TrafficMatrix(
                         problem.pairs, np.maximum(estimates.mean(axis=0), 0.0)
                     )
@@ -155,7 +190,7 @@ def main() -> dict:
         assert a.error == b.error
         assert (math.isnan(a.mre) and math.isnan(b.mre)) or a.mre == b.mre
 
-    print("[experiment engine] legacy serial grid (cold-start loops) ...")
+    print("[experiment engine] legacy serial grid (cold L-BFGS-B loops) ...")
     start = time.perf_counter()
     legacy = legacy_robustness_grid(scenario)
     legacy_seconds = time.perf_counter() - start

@@ -20,11 +20,10 @@ backbones of growing size:
   estimator drift is the max relative L2 difference between dense- and
   sparse-backend estimates on Europe).
 
-The PR 6 tier benchmarks **hierarchical region-sharded estimation** at
-continental scale (default N=500, opt-in N=1000 via ``BENCH_PR6_NS``):
-sharded tomogravity against the flat sparse path — wall time, tracemalloc
-peaks proving neither path materialises a dense ``(links, pairs)`` or
-``(pairs, pairs)`` array, sharded-vs-flat accuracy (MRE against the
+The PR 6 tier benchmarks **flat tomogravity at continental scale**
+(default N=500 and N=1000, set via ``BENCH_PR6_NS``): wall time, a
+tracemalloc peak proving the link-space Newton solve materialises no dense
+``(links, pairs)`` or ``(pairs, pairs)`` array, accuracy (MRE against the
 synthetic truth), and the csgraph-vs-python batched routing build.  The
 results land in ``BENCH_PR6.json``.
 
@@ -34,8 +33,7 @@ shared runners)::
     PYTHONPATH=src python benchmarks/bench_large_scale.py
     PYTHONPATH=src BENCH_PR5_NS=50 BENCH_PR5_MIN_ROUTING_SPEEDUP=3.0 \
         python benchmarks/bench_large_scale.py
-    PYTHONPATH=src BENCH_PR6_ONLY=1 BENCH_PR6_MIN_SPEEDUP=2.0 \
-        python benchmarks/bench_large_scale.py
+    PYTHONPATH=src BENCH_PR6_ONLY=1 python benchmarks/bench_large_scale.py
 """
 
 from __future__ import annotations
@@ -116,15 +114,10 @@ def estimator_benchmark(n_nodes: int, guard_memory: bool) -> dict:
     problem = scenario.snapshot_problem()
     num_pairs = scenario.routing.num_pairs
     dense_bytes = float(scenario.routing.num_links * num_pairs * 8)
-    # Below the Gram limit the exact solvers build dense (P, P) normal
-    # equations by design; only above it must every intermediate stay
-    # under the dense routing footprint (the sign of a densified R).
-    from repro.estimation.bayesian import _GRAM_PAIR_LIMIT
-
-    if num_pairs <= _GRAM_PAIR_LIMIT:
-        memory_allowance = dense_bytes + 6.0 * num_pairs * num_pairs * 8
-    else:
-        memory_allowance = dense_bytes
+    # Every intermediate must stay under the dense routing footprint (the
+    # sign of a densified R); the link-space solvers' (L, L) Hessians are
+    # far smaller.
+    memory_allowance = dense_bytes
     timings: dict[str, float] = {}
     peak_bytes = 0.0
     for name in ESTIMATORS:
@@ -200,12 +193,12 @@ def named_scenario_drift() -> dict:
 
 
 # ----------------------------------------------------------------------
-# PR 6: hierarchical region-sharded estimation at continental scale
+# PR 6: flat tomogravity at continental scale
 # ----------------------------------------------------------------------
 
 
 def parse_pr6_ns() -> tuple[int, ...]:
-    raw = os.environ.get("BENCH_PR6_NS", "500")
+    raw = os.environ.get("BENCH_PR6_NS", "500,1000")
     return tuple(int(part) for part in raw.split(",") if part.strip())
 
 
@@ -239,12 +232,12 @@ def _mre(estimate: np.ndarray, truth: np.ndarray) -> float:
     return float(np.mean(np.abs(estimate[mask] - truth[mask]) / truth[mask]))
 
 
-def sharded_benchmark(n_nodes: int, run_flat: bool) -> dict:
+def flat_benchmark(n_nodes: int) -> dict:
     from repro.datasets import large_scenario
     from repro.estimation.registry import get_estimator
     from repro.routing.shortest_path import ShortestPathRouter
 
-    print(f"[sharded] N={n_nodes}: building scenario ...")
+    print(f"[flat] N={n_nodes}: building scenario ...")
     start = time.perf_counter()
     scenario = large_scenario(n_nodes, seed=SEED)
     build_seconds = time.perf_counter() - start
@@ -274,8 +267,8 @@ def sharded_benchmark(n_nodes: int, run_flat: bool) -> dict:
     gc.collect()
     assert csgraph_digest == python_digest, "csgraph routes diverged from python sweep"
 
-    # Memory allowances: neither path may materialise a dense routing-sized
-    # (links, pairs) array nor any (pairs, pairs) array.
+    # Memory allowance: the solve may materialise neither a dense
+    # routing-sized (links, pairs) array nor any (pairs, pairs) array.
     dense_routing_bytes = float(num_links * num_pairs * 8)
     pairs_sq_bytes = float(num_pairs) * float(num_pairs) * 8.0
     allowance = min(dense_routing_bytes, pairs_sq_bytes)
@@ -294,82 +287,37 @@ def sharded_benchmark(n_nodes: int, run_flat: bool) -> dict:
         "memory_allowance_bytes": allowance,
     }
 
-    print(f"[sharded] N={n_nodes}: sharded tomogravity ...")
-    sharded = get_estimator("sharded", base="tomogravity")
-    sharded_seconds, sharded_peak, sharded_vector = _timed_estimate(sharded, problem)
-    assert sharded_peak < allowance, (
-        f"sharded path allocated {sharded_peak / 1e6:.1f} MB at N={n_nodes}, above "
+    print(f"[flat] N={n_nodes}: flat tomogravity ...")
+    flat = get_estimator("tomogravity")
+    flat_seconds, flat_peak, flat_vector = _timed_estimate(flat, problem)
+    assert flat_peak < allowance, (
+        f"flat path allocated {flat_peak / 1e6:.1f} MB at N={n_nodes}, above "
         f"the dense-array allowance {allowance / 1e6:.1f} MB"
     )
     record.update(
-        sharded_seconds=sharded_seconds,
-        sharded_peak_bytes=sharded_peak,
-        sharded_mre=_mre(sharded_vector, truth),
+        flat_seconds=flat_seconds,
+        flat_peak_bytes=flat_peak,
+        flat_mre=_mre(flat_vector, truth),
     )
     print(
-        f"[sharded] N={n_nodes}: sharded {sharded_seconds:6.2f}s "
-        f"(peak {sharded_peak / 1e6:.0f} MB, MRE {record['sharded_mre']:.3f})"
+        f"[flat] N={n_nodes}: flat {flat_seconds:6.2f}s "
+        f"(peak {flat_peak / 1e6:.0f} MB, MRE {record['flat_mre']:.3f})"
     )
-
-    if run_flat:
-        print(f"[sharded] N={n_nodes}: flat tomogravity baseline ...")
-        flat = get_estimator("tomogravity")
-        flat_seconds, flat_peak, flat_vector = _timed_estimate(flat, problem)
-        assert flat_peak < allowance, (
-            f"flat path allocated {flat_peak / 1e6:.1f} MB at N={n_nodes}, above "
-            f"the dense-array allowance {allowance / 1e6:.1f} MB"
-        )
-        scale = max(float(np.linalg.norm(flat_vector)), 1e-12)
-        record.update(
-            flat_seconds=flat_seconds,
-            flat_peak_bytes=flat_peak,
-            flat_mre=_mre(flat_vector, truth),
-            speedup=flat_seconds / sharded_seconds,
-            sharded_vs_flat_relative_l2=float(
-                np.linalg.norm(sharded_vector - flat_vector) / scale
-            ),
-        )
-        print(
-            f"[sharded] N={n_nodes}: flat {flat_seconds:6.2f}s "
-            f"(peak {flat_peak / 1e6:.0f} MB, MRE {record['flat_mre']:.3f})  "
-            f"speedup {record['speedup']:5.1f}x"
-        )
     return record
 
 
 def main_pr6() -> dict:
     ns = parse_pr6_ns()
-    minimum_speedup = float(os.environ.get("BENCH_PR6_MIN_SPEEDUP", "5.0"))
-    run_flat = not os.environ.get("BENCH_PR6_SKIP_FLAT")
-    records = [sharded_benchmark(n_nodes, run_flat) for n_nodes in ns]
-    headline = records[0]
+    records = [flat_benchmark(n_nodes) for n_nodes in ns]
     payload = {
         "seed": SEED,
         "ns": list(ns),
         "records": records,
-        "minimum_speedup": minimum_speedup,
         "cpu_count": os.cpu_count(),
         "no_dense_materialisation": True,
     }
-    if run_flat:
-        payload["headline_speedup"] = headline["speedup"]
-    merge_record(PR6_RECORD_PATH, "hierarchical_sharding", payload)
-
-    if run_flat:
-        assert headline["speedup"] >= minimum_speedup, (
-            f"sharded speedup {headline['speedup']:.1f}x at N={headline['num_nodes']} "
-            f"below the required {minimum_speedup:.1f}x"
-        )
-        assert headline["sharded_peak_bytes"] <= 1.1 * headline["flat_peak_bytes"], (
-            f"sharded peak {headline['sharded_peak_bytes'] / 1e6:.1f} MB above the "
-            f"flat baseline's {headline['flat_peak_bytes'] / 1e6:.1f} MB"
-        )
-        print(
-            f"[sharded] OK (>= {minimum_speedup:.1f}x at N={headline['num_nodes']} at "
-            f"equal-or-better memory), recorded in {PR6_RECORD_PATH.name}"
-        )
-    else:
-        print(f"[sharded] OK (flat baseline skipped), recorded in {PR6_RECORD_PATH.name}")
+    merge_record(PR6_RECORD_PATH, "flat_tomogravity", payload)
+    print(f"[flat] OK (under the dense-array allowance), recorded in {PR6_RECORD_PATH.name}")
     return payload
 
 
@@ -434,23 +382,26 @@ def main() -> dict:
 PR9_RECORD_PATH = REPO_ROOT / "BENCH_PR9.json"
 
 
-def _min_seconds_paired(call_a, call_b, repeats: int) -> tuple[float, float]:
-    """Min wall time of two calls measured interleaved.
+def _paired_timings(call_a, call_b, repeats: int) -> tuple[float, float, float]:
+    """``(min seconds of A, min seconds of B, median of B/A per repeat)``.
 
     Alternating the measurements keeps slow drift on a shared runner
     (thermal, cache, noisy neighbours) from biasing the A-vs-B ratio the
-    way two separate timing blocks would.
+    way two separate timing blocks would; swapping which call goes first
+    every repeat keeps the second call's warm caches from favouring either
+    side; and the median of the per-repeat ratios discards repeats where
+    the host slowed down under one call of the pair only.
     """
-    best_a = best_b = float("inf")
-    for _ in range(repeats):
+    samples: dict[str, list[float]] = {"a": [], "b": []}
+    calls = {"a": call_a, "b": call_b}
+    for repeat in range(repeats):
         gc.collect()
-        start = time.perf_counter()
-        call_a()
-        best_a = min(best_a, time.perf_counter() - start)
-        start = time.perf_counter()
-        call_b()
-        best_b = min(best_b, time.perf_counter() - start)
-    return best_a, best_b
+        for key in ("ab" if repeat % 2 == 0 else "ba"):
+            start = time.perf_counter()
+            calls[key]()
+            samples[key].append(time.perf_counter() - start)
+    ratios = np.asarray(samples["b"]) / np.asarray(samples["a"])
+    return min(samples["a"]), min(samples["b"]), float(np.median(ratios))
 
 
 def telemetry_overhead_benchmark(n_nodes: int, repeats: int) -> dict:
@@ -476,7 +427,7 @@ def telemetry_overhead_benchmark(n_nodes: int, repeats: int) -> dict:
         wrapped = type(estimator).estimate
         unwrapped = wrapped.__wrapped__
         estimator.estimate(problem)  # warm the shared workspace for both paths
-        baseline, disabled = _min_seconds_paired(
+        baseline, disabled, ratio = _paired_timings(
             lambda: unwrapped(estimator, problem),
             lambda: estimator.estimate(problem),
             repeats,
@@ -484,7 +435,7 @@ def telemetry_overhead_benchmark(n_nodes: int, repeats: int) -> dict:
         methods[name] = {
             "baseline_seconds": baseline,
             "disabled_seconds": disabled,
-            "overhead_ratio": (disabled - baseline) / baseline,
+            "overhead_ratio": ratio - 1.0,
         }
 
     calls = 100_000
@@ -509,27 +460,26 @@ def telemetry_overhead_benchmark(n_nodes: int, repeats: int) -> dict:
 
 
 def telemetry_trace_benchmark(n_nodes: int, trace_path: Path) -> dict:
-    """Export a Chrome trace of a sharded N-node run (telemetry enabled)."""
+    """Export a Chrome trace of an N-node method comparison on two workers."""
     from repro import telemetry
     from repro.datasets import large_scenario
     from repro.evaluation.experiments import MethodSpec, method_comparison
 
     scenario = large_scenario(n_nodes, seed=SEED)
-    # effective_jobs() clamps the shard fan-out to the CPU count; pin it
-    # so the exported trace crosses the pool even on single-CPU runners.
+    # effective_jobs() clamps the fan-out to the CPU count; pin it so the
+    # exported trace crosses the pool even on single-CPU runners.
     real_cpu_count = os.cpu_count
     os.cpu_count = lambda: max(2, real_cpu_count() or 1)
     telemetry.enable()
     try:
         specs = [
-            MethodSpec(
-                label="Sharded tomogravity",
-                estimator="sharded",
-                params={"base": "tomogravity", "num_regions": 4, "n_jobs": 2},
-            )
+            MethodSpec(label="Gravity", estimator="gravity"),
+            MethodSpec(label="Kruithof", estimator="kruithof"),
+            MethodSpec(label="Tomogravity", estimator="tomogravity"),
+            MethodSpec(label="Bayesian", estimator="bayesian"),
         ]
         start = time.perf_counter()
-        records = method_comparison(scenario, specs=specs, n_jobs=1)
+        records = method_comparison(scenario, specs=specs, n_jobs=2)
         enabled_seconds = time.perf_counter() - start
         spans = telemetry.drain_spans()
         metrics = telemetry.metrics_snapshot()
@@ -542,7 +492,7 @@ def telemetry_trace_benchmark(n_nodes: int, trace_path: Path) -> dict:
     worker_tasks = [s for s in spans if s.name == "pool.task"]
     return {
         "num_nodes": n_nodes,
-        "mre": records[0].mre,
+        "mre": {record.method: record.mre for record in records},
         "enabled_seconds": enabled_seconds,
         "num_spans": len(spans),
         "num_pool_tasks": len(worker_tasks),
@@ -554,7 +504,9 @@ def telemetry_trace_benchmark(n_nodes: int, trace_path: Path) -> dict:
 
 def main_pr9() -> dict:
     n_nodes = int(os.environ.get("BENCH_PR9_N", "100"))
-    repeats = int(os.environ.get("BENCH_PR9_REPEATS", "5"))
+    # One N=100 solve takes tens of milliseconds, so the min-of-repeats
+    # estimate needs many repeats to sit below a shared host's jitter.
+    repeats = int(os.environ.get("BENCH_PR9_REPEATS", "50"))
     max_overhead = float(os.environ.get("BENCH_PR9_MAX_OVERHEAD", "0.02"))
     trace_path = REPO_ROOT / f"TRACE_PR9_N{n_nodes}.json"
 
@@ -571,7 +523,7 @@ def main_pr9() -> dict:
         f"counter_inc() {overhead['disabled_counter_ns_per_call']:.0f} ns/call"
     )
 
-    print(f"[telemetry] N={n_nodes}: sharded trace export (telemetry enabled) ...")
+    print(f"[telemetry] N={n_nodes}: method-comparison trace export (telemetry enabled) ...")
     trace = telemetry_trace_benchmark(n_nodes, trace_path)
     print(
         f"[telemetry]     {trace['num_spans']} spans "

@@ -1,10 +1,11 @@
 """Batched series estimation versus the per-snapshot loop.
 
 Acceptance benchmark for the ``estimate_series`` path: on the 50-sample
-busy period of the Europe scenario, the batched Bayesian estimator (one
-normal-equations factorisation serving every snapshot) must beat estimating
-the snapshots one at a time, while producing the same estimates.  The
-vectorised gravity and Kruithof batches are timed alongside for the record.
+busy period of the Europe scenario, the batched Kruithof estimator (every
+snapshot iterated as one IPF stack) must beat estimating the snapshots one
+at a time, while producing the same estimates.  The vectorised gravity
+batch and the Bayesian per-snapshot Newton solves (which have no batch
+form) are timed alongside for the record.
 """
 
 from __future__ import annotations
@@ -70,11 +71,10 @@ def test_series_estimation_beats_per_snapshot_loop(benchmark, europe):
             f"max diff {row['max_difference']:.2e}"
         )
 
-    # The headline acceptance: factor-once Bayesian beats the loop while
-    # agreeing with it numerically.
-    bayesian = report["bayesian"]
-    assert bayesian["speedup"] > 1.0
-    assert bayesian["relative_difference"] < 1e-6
-    # The vectorised closed-form batches must agree as well.
-    for name in ("gravity", "kruithof"):
+    # The headline acceptance: the stacked Kruithof batch beats the loop
+    # while agreeing with it numerically.
+    kruithof = report["kruithof"]
+    assert kruithof["speedup"] > 1.0
+    # Every batch must agree with its per-snapshot loop.
+    for name in ("bayesian", "gravity", "kruithof"):
         assert report[name]["relative_difference"] < 1e-6

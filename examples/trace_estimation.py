@@ -1,9 +1,9 @@
 """Tracing an estimation run with repro.telemetry.
 
-This example turns telemetry on, runs the hierarchical sharded estimator
-over a mid-size synthetic backbone (fanning the region shards over a
-process pool when more than one CPU is available), and then shows the
-three ways out of the collected trace:
+This example turns telemetry on, runs a method comparison over a mid-size
+synthetic backbone (fanning the methods over two pool workers when more
+than one CPU is available), and then shows the three ways out of the
+collected trace:
 
 1. the per-stage summary rollup (``format_summary``) — count, total,
    mean, max and *self* time per stage, straight to the terminal;
@@ -15,7 +15,7 @@ three ways out of the collected trace:
    object per span, for ad-hoc analysis.
 
 It also prints the metrics registry: solver iterations (counted at the
-``budget_tick`` call sites inside the entropy/FISTA/IPF loops), IPF
+``budget_tick`` call sites inside the Newton/FISTA/IPF loops), IPF
 sweeps, workspace cache hits and the pool queue-wait/execute histograms.
 
 Run with::
@@ -25,31 +25,28 @@ Run with::
 
 from __future__ import annotations
 
-import os
-
 from repro import telemetry
 from repro.datasets import large_scenario
-from repro.estimation import get_estimator
+from repro.evaluation.experiments import MethodSpec, method_comparison
 
 
 def main() -> None:
-    n_jobs = min(4, os.cpu_count() or 1)
     print("Building a 60-PoP synthetic backbone (3540 demands)...")
     scenario = large_scenario(num_nodes=60, seed=1, busy_length=8, num_samples=16)
-    problem = scenario.snapshot_problem()
+    specs = [
+        MethodSpec(label="Gravity", estimator="gravity"),
+        MethodSpec(label="Kruithof", estimator="kruithof"),
+        MethodSpec(label="Tomogravity", estimator="tomogravity"),
+        MethodSpec(label="Bayesian", estimator="bayesian"),
+    ]
 
-    print(f"Tracing a sharded tomogravity estimate (n_jobs={n_jobs})...")
+    print("Tracing a method comparison on two workers...")
     telemetry.enable()
-    estimator = get_estimator(
-        "sharded", base="tomogravity", num_regions=4, n_jobs=n_jobs
-    )
-    result = estimator.estimate(problem)
+    records = method_comparison(scenario, specs=specs, n_jobs=2)
     telemetry.disable()
 
-    print(
-        f"  estimate done: {result.diagnostics['num_shards']} shards over "
-        f"{result.diagnostics['num_regions']} regions"
-    )
+    for record in records:
+        print(f"  {record.method:<12} MRE {record.mre:.3f}")
 
     print("\nWhere did the seconds go?\n")
     print(telemetry.format_summary())

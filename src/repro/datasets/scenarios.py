@@ -73,7 +73,7 @@ class SweepRecord:
         (exception type, message, method, stage), ``None`` when it ran.
     degradation:
         The degradation-report dict the method attached to its diagnostics
-        (supervised/sharded estimators), ``None`` for a clean run.
+        (supervised estimators), ``None`` for a clean run.
     """
 
     method: str

@@ -24,17 +24,13 @@ interface and consumes an :class:`~repro.estimation.base.EstimationProblem`:
 * :mod:`~repro.estimation.partial` — combining tomography with direct
   demand measurements (Section 5.3.6);
 * :class:`~repro.estimation.tomogravity.TomogravityEstimator` — the
-  gravity-prior + regularised-fit pipeline in one call;
-* :class:`~repro.estimation.sharded.ShardedEstimator` — hierarchical
-  region-sharded estimation (coarse inter-region matrix + parallel
-  per-region shards + global reconciliation) for continental-scale
-  backbones.
+  gravity-prior + regularised-fit pipeline in one call.
 
 Every method registers itself by name in :mod:`repro.estimation.registry`
 (``register`` / ``get_estimator`` / ``available_estimators``), so runners
 and sweeps can compose method sets without hardcoding classes, and every
-method supports the batched ``estimate_series`` path (with vectorised or
-factor-once overrides where the mathematics allows).
+method supports the batched ``estimate_series`` path (with vectorised
+overrides where the mathematics allows).
 """
 
 from repro.estimation.base import (
@@ -67,7 +63,6 @@ from repro.estimation.priors import (
     worst_case_bound_prior,
 )
 from repro.estimation.registry import available_estimators, get_estimator, register
-from repro.estimation.sharded import ShardedEstimator
 from repro.estimation.tomogravity import TomogravityEstimator, sweep_regularization
 from repro.estimation.vardi import VardiEstimator, link_load_moments
 from repro.estimation.worstcase import (
@@ -111,7 +106,6 @@ __all__ = [
     "largest_demand_selection",
     "TomogravityEstimator",
     "sweep_regularization",
-    "ShardedEstimator",
     "SupervisedEstimator",
     "uniform_prior",
     "gravity_prior",

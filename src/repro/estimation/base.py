@@ -17,9 +17,8 @@ vector.  This module defines:
 
 The batched path matters at scale: ``estimate_series`` has a generic
 per-snapshot fallback, but estimators override it where one factorisation
-or one vectorised expression serves all ``K`` right-hand sides (Bayesian
-factors its normal equations once; gravity and Kruithof evaluate every
-snapshot's totals in single array operations).
+or one vectorised expression serves all ``K`` right-hand sides (gravity
+and Kruithof evaluate every snapshot's totals in single array operations).
 """
 
 from __future__ import annotations
@@ -400,8 +399,8 @@ class SeriesEstimationResult:
     method:
         Name of the estimation method that produced the batch.
     diagnostics:
-        Free-form diagnostics of the batched run (e.g. how many snapshots
-        took the fast path of a factor-once solver).
+        Free-form diagnostics of the batched run (e.g. whether a
+        vectorised override produced it).
     """
 
     estimates: np.ndarray
@@ -529,9 +528,8 @@ class Estimator(abc.ABC):
         Estimators exposing a ``set_warm_start(vector)`` method receive the
         previous snapshot's solution before each subsequent snapshot:
         consecutive snapshots are highly correlated, so iterative solvers
-        (the Vardi QP, the entropy Newton refinement) converge in a
-        fraction of their cold-start iterations without changing the
-        minimiser they converge to.
+        (the Vardi QP, Kruithof's scaling) converge in a fraction of their
+        cold-start iterations without changing the answer they converge to.
         """
         series = problem.series
         num_snapshots = series.shape[0]
@@ -554,12 +552,13 @@ class Estimator(abc.ABC):
         the series loop uses internally: ``previous`` (typically the last
         poll's estimate) is handed to :meth:`set_warm_start` when the
         estimator exposes one, then :meth:`estimate` runs on the new
-        snapshot.  For the strictly convex solvers (entropy, Bayesian,
-        Vardi, tomogravity) the warm start changes only the iteration
-        count, never the minimiser — so a stream of ``update`` calls
-        converges to exactly what per-snapshot cold solves would produce,
-        at a fraction of the cost.  Estimators without warm-start support
-        degrade to a plain cold :meth:`estimate`.
+        snapshot.  For the warm-started solvers (Kruithof, Vardi) the warm
+        start changes only the iteration count, never the answer — so a
+        stream of ``update`` calls converges to what per-snapshot cold
+        solves would produce, at a fraction of the cost.  Estimators
+        without warm-start support (the link-space Newton solvers of
+        entropy, tomogravity and Bayesian need a handful of iterations
+        from a cold start) run a plain cold :meth:`estimate`.
 
         Calling ``update(problem, estimates[k - 1])`` for ``k = 0 .. K-1``
         reproduces the generic :meth:`estimate_series` loop poll by poll;

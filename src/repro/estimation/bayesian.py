@@ -14,38 +14,29 @@ The *regularisation parameter* swept in the paper's Figure 13/15 is
 measurements and only use the prior to select among the solutions of
 ``R s = t``.
 
-The problem is a non-negative least-squares fit of the stacked system
+Its optimality conditions give the minimiser as ``x = max(0, p + R' y / w)``
+with ``w = sigma^{-2}`` and one multiplier ``y`` per link, so the estimator
+solves for ``y`` by semismooth Newton on the strongly convex dual
 
-    ``[ R ; sigma^{-1} I ] s  ~  [ t ; sigma^{-1} s^(p) ]``
+    ``psi(y) = ||y||^2 / 2 + (w / 2) ||max(0, p + R' y / w)||^2 - t' y``
 
-which :class:`BayesianEstimator` hands to :func:`repro.optimize.nnls.nnls`.
+whose generalised Hessian ``I + R_A R_A' / w`` over the active demands
+``A = {x > 0}`` is a small dense ``(L, L)`` matrix.  At the minimiser
+``y = t - R x``, and the dual gradient ``y + R x - t`` certifies the answer.
 """
 
 from __future__ import annotations
 
-from typing import Optional
-
 import numpy as np
 
 from repro.errors import EstimationError
-from repro.estimation.base import (
-    EstimationProblem,
-    EstimationResult,
-    Estimator,
-    SeriesEstimationResult,
-)
-from repro.estimation.gravity import gravity_vector_series
+from repro.estimation.base import EstimationProblem, EstimationResult, Estimator
 from repro.estimation.priors import make_prior
 from repro.estimation.registry import register
-from repro.optimize.nnls import nnls, nnls_normal_equations_batch
+from repro.optimize.newton import newton_minimize
 from repro.resilience.budget import budget_tick
 
 __all__ = ["BayesianEstimator"]
-
-#: Above this many pairs the dense ``(P, P)`` Gram/normal-equations paths
-#: (quadratic memory, cubic factorisation) give way to the matrix-free
-#: projected-gradient solver, which only needs operator products.
-_GRAM_PAIR_LIMIT = 3000
 
 
 @register()
@@ -61,14 +52,6 @@ class BayesianEstimator(Estimator):
         Either an explicit prior vector or the name of a prior constructor
         understood by :func:`repro.estimation.priors.make_prior`
         (``"gravity"``, ``"wcb"``, ``"uniform"``).
-    solver:
-        NNLS solver preference (``"auto"``, ``"active-set"``,
-        ``"projected-gradient"``).  On dense backends it is forwarded to
-        :func:`repro.optimize.nnls.nnls`; on sparse backends
-        ``"active-set"`` selects the exact normal-equations pivoting
-        (a direct solve — the ``iterations`` diagnostic reports 0) and
-        ``"projected-gradient"`` the matrix-free FISTA path, neither of
-        which densifies the routing matrix.
     """
 
     name = "bayesian"
@@ -77,24 +60,11 @@ class BayesianEstimator(Estimator):
         self,
         regularization: float = 1000.0,
         prior: str | np.ndarray = "gravity",
-        solver: str = "auto",
     ) -> None:
         if regularization <= 0:
             raise EstimationError("regularization (sigma^2) must be positive")
         self.regularization = float(regularization)
         self.prior = prior
-        self.solver = solver
-        self._warm_start: Optional[np.ndarray] = None
-
-    def set_warm_start(self, vector: np.ndarray) -> None:
-        """Use ``vector`` as the next solve's starting point (one-shot).
-
-        Only the matrix-free projected-gradient path (large sparse
-        problems) consumes it; the exact solvers are start-independent.
-        The program is strictly convex, so the warm start cannot change
-        the minimiser.
-        """
-        self._warm_start = np.asarray(vector, dtype=float).copy()
 
     # ------------------------------------------------------------------
     def _prior_vector(self, problem: EstimationProblem) -> np.ndarray:
@@ -110,214 +80,34 @@ class BayesianEstimator(Estimator):
         return prior
 
     def estimate(self, problem: EstimationProblem) -> EstimationResult:
-        """Solve the regularised non-negative least-squares problem.
-
-        Three solver paths, all minimising the same strictly convex
-        program:
-
-        * dense routing backend — the stacked-system NNLS exactly as
-          before (byte-compatible with the historical behaviour);
-        * sparse backend, ``P <= _GRAM_PAIR_LIMIT`` (or
-          ``solver="active-set"``) — exact normal-equations solve on the
-          cached dense Gram (never builds the ``(L + P, P)`` stacked
-          matrix);
-        * sparse backend, large ``P`` (or ``solver="projected-gradient"``)
-          — matrix-free accelerated projected gradient using only
-          ``matvec``/``rmatvec``, so memory stays ``O(nnz + P)``.
-        """
+        """Solve the regularised non-negative least-squares problem."""
         prior = self._prior_vector(problem)
         snapshot = problem.snapshot
-        warm_start = self._warm_start
-        self._warm_start = None
-        weight_sq = 1.0 / self.regularization
+        routing = problem.routing
+        weight = 1.0 / self.regularization
 
-        if problem.routing.backend_kind == "sparse":
-            # Honour an explicit solver preference without densifying:
-            # "active-set" maps to the exact normal-equations pivoting,
-            # "projected-gradient" to the matrix-free FISTA path; "auto"
-            # picks by problem size.
-            if self.solver == "projected-gradient":
-                use_exact = False
-            elif self.solver == "active-set":
-                use_exact = True
-            else:
-                use_exact = problem.num_pairs <= _GRAM_PAIR_LIMIT
-            if use_exact:
-                gram = problem.routing.gram() + weight_sq * np.eye(problem.num_pairs)
-                rhs = problem.routing.rmatvec(snapshot) + weight_sq * prior
-                values, converged_flags = nnls_normal_equations_batch(gram, rhs)
-                iterations = 0
-                converged = bool(np.all(converged_flags))
-            else:
-                values, iterations, converged = self._projected_gradient(
-                    problem, snapshot, prior, weight_sq, warm_start
-                )
-            return self._result(
-                problem,
-                values,
-                regularization=self.regularization,
-                prior_kind=self.prior if isinstance(self.prior, str) else "explicit",
-                residual_norm=float(
-                    np.linalg.norm(problem.routing.matvec(values) - snapshot)
-                ),
-                prior_distance=float(np.linalg.norm(values - prior)),
-                iterations=int(iterations),
-                converged=bool(converged),
-            )
+        def evaluate(y: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
+            budget_tick()
+            demands = np.maximum(prior + routing.rmatvec(y) / weight, 0.0)
+            value = float(0.5 * (y @ y) + 0.5 * weight * (demands @ demands) - snapshot @ y)
+            gradient = y + routing.matvec(demands) - snapshot
+            return value, gradient, demands
 
-        routing = problem.routing.matrix
-        weight = np.sqrt(weight_sq)
-        stacked_matrix = np.vstack([routing, weight * np.eye(problem.num_pairs)])
-        stacked_rhs = np.concatenate([snapshot, weight * prior])
-        solution = nnls(stacked_matrix, stacked_rhs, prefer=self.solver)
-        values = solution.x
+        def hessian(demands: np.ndarray) -> np.ndarray:
+            matrix = routing.link_gram((demands > 0) / weight)
+            matrix[np.diag_indices_from(matrix)] += 1.0
+            return matrix
+
+        solution = newton_minimize(evaluate, hessian, np.zeros(routing.num_links))
+        values = solution.primal
         return self._result(
             problem,
             values,
             regularization=self.regularization,
             prior_kind=self.prior if isinstance(self.prior, str) else "explicit",
-            residual_norm=float(np.linalg.norm(routing @ values - snapshot)),
+            residual_norm=float(np.linalg.norm(routing.matvec(values) - snapshot)),
             prior_distance=float(np.linalg.norm(values - prior)),
             iterations=solution.iterations,
             converged=solution.converged,
-        )
-
-    # ------------------------------------------------------------------
-    # matrix-free path for large sparse problems
-    # ------------------------------------------------------------------
-    def _lipschitz(self, problem: EstimationProblem, weight_sq: float) -> float:
-        """``2 * (lambda_max(R'R) + sigma^{-2})``.
-
-        The spectral radius comes from
-        :meth:`~repro.routing.routing_matrix.RoutingMatrix.gram_spectral_radius`,
-        cached on the routing matrix itself — which every ``at_snapshot``
-        sub-problem of a series shares — so the power iteration runs once
-        per routing, not once per snapshot.
-        """
-        return 2.0 * (problem.routing.gram_spectral_radius() + weight_sq)
-
-    def _projected_gradient(
-        self,
-        problem: EstimationProblem,
-        snapshot: np.ndarray,
-        prior: np.ndarray,
-        weight_sq: float,
-        warm_start: Optional[np.ndarray],
-        max_iterations: int = 5000,
-        tolerance: float = 1e-10,
-    ) -> tuple[np.ndarray, int, bool]:
-        """FISTA on ``||R x - t||^2 + sigma^{-2} ||x - p||^2`` over ``x >= 0``.
-
-        Every iteration costs one ``matvec`` + one ``rmatvec`` (``O(nnz)``)
-        and vector arithmetic; no ``(L, P)`` or ``(P, P)`` array is ever
-        formed.  Strong convexity (the ``sigma^{-2} I`` term) gives linear
-        convergence, and the prior — or the previous snapshot's solution,
-        via :meth:`set_warm_start` — is an excellent starting point.
-        """
-        routing = problem.routing
-        lipschitz = self._lipschitz(problem, weight_sq)
-        if lipschitz <= 0:
-            return np.maximum(prior, 0.0), 0, True
-        step = 1.0 / lipschitz
-
-        def objective(x: np.ndarray) -> float:
-            residual = routing.matvec(x) - snapshot
-            offset = x - prior
-            return float(residual @ residual) + weight_sq * float(offset @ offset)
-
-        if warm_start is not None and warm_start.shape == prior.shape:
-            x = np.maximum(warm_start, 0.0)
-        else:
-            x = np.maximum(prior, 0.0).copy()
-        y = x.copy()
-        momentum = 1.0
-        previous_objective = objective(x)
-        converged = False
-        iterations = 0
-        for iterations in range(1, max_iterations + 1):
-            budget_tick()
-            residual = routing.matvec(y) - snapshot
-            gradient = 2.0 * routing.rmatvec(residual) + 2.0 * weight_sq * (y - prior)
-            x_next = np.maximum(y - step * gradient, 0.0)
-            momentum_next = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * momentum**2))
-            y = x_next + (momentum - 1.0) / momentum_next * (x_next - x)
-            x, momentum = x_next, momentum_next
-            current_objective = objective(x)
-            denominator = max(abs(previous_objective), 1e-12)
-            if abs(previous_objective - current_objective) / denominator < tolerance:
-                converged = True
-                break
-            previous_objective = current_objective
-        return x, iterations, converged
-
-    # ------------------------------------------------------------------
-    # batched path
-    # ------------------------------------------------------------------
-    def _prior_series(self, problem: EstimationProblem) -> Optional[np.ndarray]:
-        """Per-snapshot priors ``(K, P)``, or ``None`` when only the generic
-        per-snapshot loop can reproduce them (the WCB prior solves LPs)."""
-        num_snapshots = problem.series.shape[0]
-        if not isinstance(self.prior, str):
-            prior = self._prior_vector(problem)
-            return np.tile(prior, (num_snapshots, 1))
-        kind = self.prior.lower()
-        if kind == "gravity":
-            return gravity_vector_series(problem)
-        if kind == "uniform":
-            if problem.origin_totals_series is not None:
-                totals = problem.origin_totals_series.sum(axis=1)
-            elif problem.origin_totals is not None:
-                totals = np.full(num_snapshots, float(sum(problem.origin_totals.values())))
-            else:
-                mean_length = float(problem.routing.path_lengths().mean())
-                if mean_length <= 0:
-                    raise EstimationError(
-                        "routing matrix has empty paths; cannot infer total traffic"
-                    )
-                totals = problem.series.sum(axis=1) / mean_length
-            return np.repeat(totals[:, None] / problem.num_pairs, problem.num_pairs, axis=1)
-        return None
-
-    def estimate_series(self, problem: EstimationProblem) -> SeriesEstimationResult:
-        """Factor the normal equations once and solve every snapshot.
-
-        In normal-equations form the regularised problem has the positive
-        definite Hessian ``R'R + sigma^{-2} I`` shared by every snapshot, so
-        one factorisation serves all ``K`` right-hand sides:
-        :func:`repro.optimize.nnls.nnls_normal_equations_batch` inverts it
-        once and enforces non-negativity per snapshot with warm-started
-        block principal pivoting.  Results match the per-snapshot NNLS loop
-        (both solve the same strictly convex program exactly).
-        """
-        if problem.num_pairs > _GRAM_PAIR_LIMIT:
-            # The factor-once path needs a dense (P, P) Gram; above the
-            # limit the generic loop with matrix-free warm-started solves
-            # is both faster and O(nnz + P) in memory.
-            return super().estimate_series(problem)
-        priors = self._prior_series(problem)
-        if priors is None:
-            return super().estimate_series(problem)
-        series = problem.series
-        routing = problem.routing
-        num_pairs = problem.num_pairs
-        weight_sq = 1.0 / self.regularization
-        gram = routing.gram() + weight_sq * np.eye(num_pairs)
-        rhs = routing.rmatmat(series.T) + weight_sq * priors.T  # (P, K)
-        solutions, converged = nnls_normal_equations_batch(gram, rhs)
-        estimates = solutions.T
-        fallback = np.flatnonzero(~converged)
-        if fallback.size:  # pragma: no cover - PD gram, pivoting always converges
-            weight = np.sqrt(weight_sq)
-            stacked_matrix = np.vstack([routing.matrix, weight * np.eye(num_pairs)])
-            for index in fallback:
-                stacked_rhs = np.concatenate([series[index], weight * priors[index]])
-                estimates[index] = nnls(stacked_matrix, stacked_rhs, prefer=self.solver).x
-        return self._series_result(
-            problem,
-            estimates,
-            batched=True,
-            regularization=self.regularization,
-            prior_kind=self.prior if isinstance(self.prior, str) else "explicit",
-            num_snapshots=int(series.shape[0]),
-            num_fallback=int(fallback.size),
+            optimality=solution.optimality,
         )

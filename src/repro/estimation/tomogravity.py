@@ -11,17 +11,12 @@ minimising the link-load residual (a proxy usable without ground truth).
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from repro.errors import EstimationError
-from repro.estimation.base import (
-    EstimationProblem,
-    EstimationResult,
-    Estimator,
-    SeriesEstimationResult,
-)
+from repro.estimation.base import EstimationProblem, EstimationResult, Estimator
 from repro.estimation.bayesian import BayesianEstimator
 from repro.estimation.entropy import EntropyEstimator
 from repro.estimation.registry import register
@@ -67,34 +62,6 @@ class TomogravityEstimator(Estimator):
         diagnostics = dict(result.diagnostics)
         diagnostics["flavour"] = self.flavour
         return EstimationResult(estimate=result.estimate, method=self.name, diagnostics=diagnostics)
-
-    def set_warm_start(self, vector: np.ndarray) -> None:
-        """Use ``vector`` as the next solve's starting point (one-shot).
-
-        Forwarded to the wrapped entropy/Bayesian estimator, which is what
-        actually runs the solver.  Without this forwarding the generic
-        series loop's ``getattr(self, "set_warm_start", ...)`` probe finds
-        nothing and tomogravity silently loses the warm-started batched
-        path the README advertises.
-        """
-        self._inner.set_warm_start(vector)  # type: ignore[attr-defined]
-
-    def estimate_series(self, problem: EstimationProblem) -> SeriesEstimationResult:
-        """Delegate to the inner estimator's batched path.
-
-        With the ``"bayesian"`` flavour this inherits the factor-once
-        Cholesky solve; the entropy flavour currently falls back to the
-        generic per-snapshot loop of its inner estimator.
-        """
-        result = self._inner.estimate_series(problem)
-        diagnostics = dict(result.diagnostics)
-        diagnostics["flavour"] = self.flavour
-        return SeriesEstimationResult(
-            estimates=result.estimates,
-            pairs=result.pairs,
-            method=self.name,
-            diagnostics=diagnostics,
-        )
 
 
 def sweep_regularization(

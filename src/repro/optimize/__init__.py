@@ -1,7 +1,9 @@
-"""Numerical substrate: NNLS, constrained least squares, LP, iterative scaling.
+"""Numerical substrate: Newton, NNLS, constrained least squares, LP, scaling.
 
 These solvers back the estimation methods:
 
+* :mod:`~repro.optimize.newton` — the damped-Newton driver behind the
+  link-space duals of the entropy/tomogravity and Bayesian estimators;
 * :mod:`~repro.optimize.nnls` — non-negative least squares (active set and
   accelerated projected gradient);
 * :mod:`~repro.optimize.qp` — equality-constrained least squares with and
@@ -26,6 +28,7 @@ from repro.optimize.linear_program import (
     presolve_variable_bounds,
     solve_linear_program,
 )
+from repro.optimize.newton import NewtonResult, newton_minimize
 from repro.optimize.nnls import NNLSResult, nnls, nnls_active_set, nnls_projected_gradient
 from repro.optimize.qp import (
     ConstrainedLSResult,
@@ -37,6 +40,8 @@ from repro.optimize.qp import (
 )
 
 __all__ = [
+    "NewtonResult",
+    "newton_minimize",
     "NNLSResult",
     "nnls",
     "nnls_active_set",

@@ -10,8 +10,7 @@ Two solvers are provided:
 * :func:`nnls_active_set` — a thin wrapper around SciPy's Lawson-Hanson
   implementation, exact but cubic in the number of variables;
 * :func:`nnls_projected_gradient` — a projected-gradient (FISTA-accelerated)
-  solver that scales to the larger American-network problems and to the
-  stacked systems built by the regularised estimators.
+  solver that scales to larger problems.
 
 :func:`nnls` picks a solver automatically based on problem size; all
 functions return a :class:`NNLSResult` carrying the solution, the residual
@@ -23,7 +22,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 import scipy.optimize
 
 from repro.resilience.budget import budget_tick
@@ -36,7 +34,6 @@ __all__ = [
     "nnls_active_set",
     "nnls_projected_gradient",
     "nnls",
-    "nnls_normal_equations_batch",
 ]
 
 
@@ -154,105 +151,6 @@ def nnls_projected_gradient(
         previous_objective = current_objective
     residual_norm = float(np.linalg.norm(A @ x - b))
     return NNLSResult(x=x, residual_norm=residual_norm, iterations=iterations, converged=converged)
-
-
-def nnls_normal_equations_batch(
-    gram: np.ndarray,
-    rhs: np.ndarray,
-    max_pivot_rounds: int = 100,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Exact NNLS for many right-hand sides sharing one positive-definite Gram.
-
-    Solves, for every column ``b`` of ``rhs``,
-
-        minimise ``x' G x - 2 b' x``  subject to ``x >= 0``
-
-    which is the normal-equations form of ``min ||A x - c||^2, x >= 0`` with
-    ``G = A'A`` and ``b = A'c``.  ``G`` must be symmetric positive definite
-    (regularised least-squares problems always are): the factorisation work
-    is then done **once** — ``G`` is inverted up front — and each column
-    only pays for small active-set solves via Kim & Park's block principal
-    pivoting, warm-started from its unconstrained solution.  This is the
-    factor-once batched path used by
-    :meth:`repro.estimation.bayesian.BayesianEstimator.estimate_series`.
-
-    Returns ``(solutions, converged)`` where ``solutions`` has the shape of
-    ``rhs`` and ``converged`` flags each column (non-converged columns —
-    which should not occur for positive-definite ``G`` — are clipped
-    unconstrained solutions).
-    """
-    gram = np.asarray(gram, dtype=float)
-    rhs = np.asarray(rhs, dtype=float)
-    if gram.ndim != 2 or gram.shape[0] != gram.shape[1]:
-        raise SolverError("gram must be a square matrix")
-    single = rhs.ndim == 1
-    if single:
-        rhs = rhs[:, None]
-    if rhs.ndim != 2 or rhs.shape[0] != gram.shape[0]:
-        raise SolverError(f"rhs has shape {rhs.shape}, expected ({gram.shape[0]}, K)")
-    if max_pivot_rounds <= 0:
-        raise SolverError("max_pivot_rounds must be positive")
-
-    num_vars, num_rhs = rhs.shape
-    try:
-        factor = scipy.linalg.cho_factor(gram)
-    except scipy.linalg.LinAlgError as exc:
-        raise SolverError(f"gram matrix is not positive definite: {exc}") from exc
-    inverse = scipy.linalg.cho_solve(factor, np.eye(num_vars))
-    unconstrained = scipy.linalg.cho_solve(factor, rhs)
-
-    solutions = np.maximum(unconstrained, 0.0)
-    converged = np.ones(num_rhs, dtype=bool)
-    for col in range(num_rhs):
-        z = unconstrained[:, col]
-        tolerance = 1e-10 * max(1.0, float(np.abs(z).max(initial=0.0)))
-        active = np.flatnonzero(z < -tolerance)
-        if not active.size:
-            continue  # the constraint is inactive: z is already the solution
-        x = z
-        lagrange = np.zeros(0)
-        best_violations = np.inf
-        backup_budget = 3
-        solved = False
-        for _ in range(max_pivot_rounds):
-            budget_tick()
-            # Equality-constrained solve (x[active] = 0) from the cached inverse:
-            # x = z - G^{-1}[:, A] lambda with G^{-1}[A, A] lambda = z[A]; the
-            # gradient is then -lambda on A and zero elsewhere.
-            lagrange = np.linalg.solve(inverse[np.ix_(active, active)], z[active])
-            x = z - inverse[:, active] @ lagrange
-            x[active] = 0.0
-            primal_violations = np.flatnonzero(x < -tolerance)
-            dual_violations = active[lagrange > tolerance]
-            num_violations = primal_violations.size + dual_violations.size
-            if num_violations == 0:
-                solved = True
-                break
-            if num_violations < best_violations:
-                best_violations = num_violations
-                backup_budget = 3
-            elif backup_budget > 0:
-                backup_budget -= 1
-            else:
-                # Kim-Park safeguard: exchange only the largest-index violator.
-                worst = max(
-                    primal_violations.max(initial=-1), dual_violations.max(initial=-1)
-                )
-                if worst in active:
-                    dual_violations = np.array([worst])
-                    primal_violations = np.array([], dtype=int)
-                else:
-                    primal_violations = np.array([worst])
-                    dual_violations = np.array([], dtype=int)
-            keep = np.setdiff1d(active, dual_violations, assume_unique=True)
-            active = np.union1d(keep, primal_violations)
-        if solved:
-            solutions[:, col] = np.maximum(x, 0.0)
-        else:  # pragma: no cover - PD gram always converges
-            converged[col] = False
-    if single:
-        return solutions[:, 0], converged
-    return solutions, converged
 
 
 def nnls(

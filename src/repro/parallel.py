@@ -2,9 +2,8 @@
 
 The parallel engines — the LP bounds batch
 (:mod:`repro.optimize.linear_program`), the experiment runners
-(:mod:`repro.evaluation.experiments`), the planning failure sweep
-(:mod:`repro.planning.sweep`) and the sharded estimator
-(:mod:`repro.estimation.sharded`) — resolve their ``n_jobs`` parameter with
+(:mod:`repro.evaluation.experiments`) and the planning failure sweep
+(:mod:`repro.planning.sweep`) — resolve their ``n_jobs`` parameter with
 the same policy, kept here so the engines cannot drift: ``None`` means every
 core, the count is clamped to both the number of independent tasks and the
 number of CPUs actually present, and anything below 1 is an error (raised

@@ -96,7 +96,7 @@ class PlanningRecord:
         Structured skip reason (``None`` when the method ran).
     degradation:
         Degradation-report dict from the method's diagnostics
-        (supervised/sharded estimators), ``None`` for a clean run.
+        (supervised estimators), ``None`` for a clean run.
     """
 
     scenario: str

@@ -16,8 +16,9 @@ This module hides the storage decision behind a small operator interface:
   existing backend) and auto-selects the representation by size and density.
 
 Consumers interact through ``matvec`` / ``rmatvec`` / ``matmat`` /
-``rmatmat`` (operator-style products), ``row`` / ``column`` (dense slices)
-and ``gram`` (the cached ``R' R``); ``toarray`` materialises — and caches —
+``rmatmat`` (operator-style products), ``row`` / ``column`` (dense slices),
+``gram`` (the cached ``R' R``) and ``link_gram`` (the link-space
+``R diag(d) R'`` behind the Newton solvers); ``toarray`` materialises — and caches —
 the dense view for the few algorithms that genuinely need it (active-set
 NNLS, LP constraint blocks).  Both backends produce numerically matching
 results, so the choice is purely a performance knob.
@@ -87,6 +88,10 @@ class RoutingOperator(Protocol):
 
     def gram(self) -> np.ndarray:
         """The dense Gram matrix ``R.T @ R``."""
+        ...
+
+    def link_gram(self, weights: np.ndarray) -> np.ndarray:
+        """The dense ``(num_links, num_links)`` product ``R diag(weights) R.T``."""
         ...
 
     def column_select(self, indices: np.ndarray) -> "RoutingOperator":
@@ -160,6 +165,15 @@ class RoutingBackend(abc.ABC):
         """The dense Gram matrix ``R.T @ R`` (cached)."""
 
     @abc.abstractmethod
+    def link_gram(self, weights: np.ndarray) -> np.ndarray:
+        """The dense ``(num_links, num_links)`` product ``R diag(weights) R.T``.
+
+        The link-space Hessian of the regularised estimators' dual
+        objectives; ``weights`` has one entry per pair.  Never densifies
+        ``R`` itself.
+        """
+
+    @abc.abstractmethod
     def toarray(self) -> np.ndarray:
         """Dense ndarray view (cached; do not mutate)."""
 
@@ -221,6 +235,9 @@ class DenseBackend(RoutingBackend):
         if self._gram is None:
             self._gram = self._matrix.T @ self._matrix
         return self._gram
+
+    def link_gram(self, weights: np.ndarray) -> np.ndarray:
+        return (self._matrix * weights) @ self._matrix.T
 
     def toarray(self) -> np.ndarray:
         return self._matrix
@@ -285,6 +302,10 @@ class SparseBackend(RoutingBackend):
         if self._gram is None:
             self._gram = np.asarray((self._matrix.T @ self._matrix).todense())
         return self._gram
+
+    def link_gram(self, weights: np.ndarray) -> np.ndarray:
+        scaled = self._matrix @ scipy.sparse.diags(np.asarray(weights, dtype=float))
+        return (scaled @ self._matrix.T).toarray()
 
     def toarray(self) -> np.ndarray:
         if self._dense is None:

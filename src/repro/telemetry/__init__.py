@@ -1,4 +1,4 @@
-"""Spans, metrics and trace export for the estimation → pool → sharded stack.
+"""Spans, metrics and trace export for the routing → estimation → pool stack.
 
 The paper's reproduction is an empirical comparison of estimation
 methods; this package is how we answer "where did those seconds go" at

@@ -1,7 +1,7 @@
 """Hierarchical spans: the trace backbone of :mod:`repro.telemetry`.
 
 A *span* covers one timed stage of the request path — an ``estimate``
-call, a sharded partition step, a pool task inside a worker process.
+call, a routing build, a pool task inside a worker process.
 Spans nest through a :class:`contextvars.ContextVar`, so the innermost
 open span is always the parent of the next one opened on the same
 logical flow, forming a trace tree without any explicit plumbing:

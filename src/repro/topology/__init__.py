@@ -9,10 +9,7 @@ This package provides the data model every other subsystem builds on:
   canonical link and origin-destination-pair indices;
 * :mod:`~repro.topology.generators` — synthetic backbones matching the
   paper's European (12 PoPs / 72 links) and American (25 PoPs / 284 links)
-  subnetworks;
-* :mod:`~repro.topology.regions` — region extraction, PoP aggregation and
-  the automatic region partitioner behind hierarchical (sharded)
-  estimation.
+  subnetworks.
 """
 
 from repro.topology.elements import Link, LinkKind, Node, NodePair, NodeRole
@@ -28,15 +25,6 @@ from repro.topology.generators import (
     random_backbone,
 )
 from repro.topology.network import Network
-from repro.topology.regions import (
-    aggregate_demands_to_pops,
-    aggregate_to_pops,
-    aggregate_to_regions,
-    assign_regions,
-    default_num_regions,
-    extract_region,
-    partition_regions,
-)
 
 __all__ = [
     "Node",
@@ -54,11 +42,4 @@ __all__ = [
     "abilene_backbone",
     "random_backbone",
     "great_circle_km",
-    "extract_region",
-    "aggregate_to_pops",
-    "aggregate_demands_to_pops",
-    "partition_regions",
-    "assign_regions",
-    "aggregate_to_regions",
-    "default_num_regions",
 ]

@@ -349,7 +349,6 @@ def random_backbone(
     name: str = "random",
     region: Optional[str] = None,
     populations: Optional[Sequence[float]] = None,
-    num_regions: Optional[int] = None,
 ) -> Network:
     """Generate a random strongly connected backbone.
 
@@ -357,9 +356,8 @@ def random_backbone(
     ----------
     num_nodes:
         Number of PoPs.  Node names are ``"P00"``, ``"P01"``, ...  Every
-        node is its own PoP (``city`` equals the node name), so the PoP
-        aggregation tooling works on generated topologies exactly like on
-        the hand-built paper networks.
+        node is its own PoP (``city`` equals the node name), like the
+        hand-built paper networks.
     avg_degree:
         Target average (undirected) degree.  A ring is always present, so
         the effective minimum is 2.
@@ -369,17 +367,11 @@ def random_backbone(
     name:
         Network name.
     region:
-        Region label applied to every node (mutually exclusive with
-        ``num_regions``).
+        Region label applied to every node.
     populations:
         Optional explicit population weights; defaults to a Zipf-like
         distribution that concentrates traffic on a few PoPs, as observed
         in the paper's Figure 3.
-    num_regions:
-        Partition the finished topology into this many connected regions
-        (:func:`repro.topology.regions.partition_regions`, seeded from
-        ``seed``) and stamp the labels onto the nodes, so region
-        extraction and hierarchical estimation work out of the box.
 
     Returns
     -------
@@ -390,8 +382,6 @@ def random_backbone(
         raise TopologyError("random_backbone needs at least three nodes")
     if avg_degree < 2.0:
         raise TopologyError("avg_degree must be at least 2 (ring connectivity)")
-    if region is not None and num_regions is not None:
-        raise TopologyError("pass either a fixed region label or num_regions, not both")
     rng = np.random.default_rng(seed)
 
     if populations is None:
@@ -439,9 +429,4 @@ def random_backbone(
         add_pair(names[int(a)], names[int(b)])
 
     network.validate()
-    if num_regions is not None:
-        from repro.topology.regions import assign_regions, partition_regions
-
-        assignment = partition_regions(network, num_regions, seed=seed or 0)
-        network = assign_regions(network, assignment)
     return network

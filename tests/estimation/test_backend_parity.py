@@ -32,7 +32,6 @@ METHOD_RTOL = {
     "kl-projection": 1e-4,
     "vardi": 1e-3,
     "cao": 1e-4,
-    "sharded": 2e-3,
     "supervised": 1e-3,  # default primary is tomogravity
 }
 DEFAULT_RTOL = 1e-9

@@ -24,21 +24,32 @@ FORBIDDEN_ALIASES = ("solver_iterations", "solver_converged", "link_residual")
 
 #: name -> (constructor params, problem kind, required canonical keys)
 CONVENTIONS = {
-    "bayesian": ({}, "snapshot", {"iterations", "converged", "residual_norm"}),
+    "bayesian": (
+        {},
+        "snapshot",
+        {"iterations", "converged", "residual_norm", "optimality"},
+    ),
     "cao": ({}, "series", {"iterations"}),
-    "entropy": ({}, "snapshot", {"iterations", "converged", "residual_norm"}),
+    "entropy": (
+        {},
+        "snapshot",
+        {"iterations", "converged", "residual_norm", "optimality"},
+    ),
     "fanout": ({}, "series", {"residual_norm"}),
     "generalized-gravity": ({"peering_nodes": set()}, "snapshot", set()),
     "gravity": ({}, "snapshot", set()),
     "kl-projection": ({}, "snapshot", {"iterations", "converged"}),
     "kruithof": ({}, "snapshot", {"iterations", "converged"}),
-    "sharded": ({"base": "gravity", "num_regions": 2}, "snapshot", set()),
     "supervised": (
         {"primary": "tomogravity"},
         "snapshot",
-        {"iterations", "converged", "residual_norm"},
+        {"iterations", "converged", "residual_norm", "optimality"},
     ),
-    "tomogravity": ({}, "snapshot", {"iterations", "converged", "residual_norm"}),
+    "tomogravity": (
+        {},
+        "snapshot",
+        {"iterations", "converged", "residual_norm", "optimality"},
+    ),
     "vardi": ({}, "series", {"iterations", "converged"}),
     "worst-case-bounds": ({}, "snapshot", set()),
 }
@@ -72,3 +83,6 @@ def test_canonical_diagnostics_keys(name, small_scenario_session):
         assert isinstance(diagnostics["converged"], bool)
     if "iterations" in diagnostics:
         assert float(diagnostics["iterations"]) == int(diagnostics["iterations"])
+    if "optimality" in diagnostics:
+        assert isinstance(diagnostics["optimality"], float)
+        assert diagnostics["optimality"] >= 0.0

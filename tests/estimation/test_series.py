@@ -7,7 +7,6 @@ import pytest
 
 from repro.errors import EstimationError
 from repro.estimation import get_estimator
-from repro.optimize.nnls import nnls_active_set, nnls_normal_equations_batch
 
 WINDOW = 8
 
@@ -42,6 +41,7 @@ class TestBatchedOverridesMatchLoop:
         ("bayesian", {"regularization": 1000.0, "prior": "gravity"}),
         ("bayesian", {"regularization": 10.0, "prior": "uniform"}),
         ("tomogravity", {"flavour": "bayesian"}),
+        ("entropy", {"regularization": 100.0}),
     ])
     def test_batch_equals_per_snapshot_estimates(self, series_problem, method, params):
         estimator = get_estimator(method, **params)
@@ -57,16 +57,6 @@ class TestBatchedOverridesMatchLoop:
         loop = per_snapshot_loop(estimator, series_problem)
         np.testing.assert_allclose(batched.estimates, loop, atol=1e-9)
         assert batched.diagnostics["batched"] is False
-
-    def test_entropy_warm_started_series_matches_loop(self, series_problem):
-        estimator = get_estimator("entropy", regularization=100.0)
-        batched = estimator.estimate_series(series_problem)
-        loop = per_snapshot_loop(estimator, series_problem)
-        scale = max(float(loop.max()), 1.0)
-        np.testing.assert_allclose(batched.estimates, loop, atol=1e-4 * scale)
-        assert batched.diagnostics["batched"] is True
-        assert batched.diagnostics["warm_started"] is True
-        assert batched.diagnostics["fallback_snapshots"] == 0
 
     def test_bayesian_explicit_prior_batches(self, series_problem):
         prior = np.full(series_problem.num_pairs, 10.0)
@@ -133,28 +123,6 @@ class TestSeriesResultContainer:
     def test_at_snapshot_bounds_checked(self, series_problem):
         with pytest.raises(EstimationError):
             series_problem.at_snapshot(WINDOW)
-
-
-class TestNormalEquationsBatchSolver:
-    def test_matches_active_set_on_random_problems(self):
-        rng = np.random.default_rng(5)
-        A = rng.random((40, 25))
-        B = rng.normal(size=(40, 12)) * 10.0
-        gram = A.T @ A + 1e-6 * np.eye(25)
-        solutions, converged = nnls_normal_equations_batch(gram, A.T @ B)
-        assert converged.all()
-        for col in range(B.shape[1]):
-            reference = nnls_active_set(
-                np.vstack([A, np.sqrt(1e-6) * np.eye(25)]),
-                np.concatenate([B[:, col], np.zeros(25)]),
-            ).x
-            np.testing.assert_allclose(solutions[:, col], reference, atol=1e-6)
-
-    def test_single_rhs_shape(self):
-        gram = np.eye(3)
-        solution, converged = nnls_normal_equations_batch(gram, np.array([1.0, -2.0, 3.0]))
-        np.testing.assert_allclose(solution, [1.0, 0.0, 3.0])
-        assert converged.shape == (1,)
 
 
 class TestScenarioSweep:

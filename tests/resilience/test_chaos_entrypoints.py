@@ -5,8 +5,8 @@ counter resets, clock skew, stuck counters, collector outages, worker
 crashes, worker hangs, and solver non-convergence — all four entry points
 (:func:`~repro.evaluation.experiments.run_method_specs`,
 :func:`~repro.evaluation.experiments.robustness_sweep`,
-:func:`~repro.planning.sweep.failure_sweep`, and ``Scenario.sweep`` with
-the sharded estimator) complete without an unhandled exception, every
+:func:`~repro.planning.sweep.failure_sweep`, and ``Scenario.sweep``)
+complete without an unhandled exception, every
 degraded result carries a structured degradation report naming the fault
 and the fallback, and serial and parallel runs produce identical records
 *including* those reports.
@@ -176,7 +176,7 @@ def test_failure_sweep_reports_fallbacks_per_case(scenario):
 
 
 @pytest.mark.parametrize("fault_name", ["poll-loss-burst", "collector-outage"])
-def test_scenario_sweep_with_sharded_estimator_under_faults(scenario, fault_name):
+def test_scenario_sweep_under_faults(scenario, fault_name):
     measured = scenario.measured(
         loss_probability=0.02,
         num_pollers=2,
@@ -187,7 +187,6 @@ def test_scenario_sweep_with_sharded_estimator_under_faults(scenario, fault_name
         warnings.simplefilter("ignore", RuntimeWarning)
         records = measured.sweep(
             methods=[
-                ("sharded", {"base": "gravity", "num_regions": 2}),
                 (
                     "supervised",
                     {"primary": "entropy", "max_iterations": 2, "retries": 0,
@@ -196,9 +195,8 @@ def test_scenario_sweep_with_sharded_estimator_under_faults(scenario, fault_name
             ],
             window_length=4,
         )
-    assert [r.method for r in records] == ["sharded", "supervised"]
-    for record in records:
-        assert not record.skipped and np.isfinite(record.mre)
-    supervised = records[1]
+    assert [r.method for r in records] == ["supervised"]
+    (supervised,) = records
+    assert not supervised.skipped and np.isfinite(supervised.mre)
     assert supervised.degradation is not None and supervised.degradation["degraded"]
     assert supervised.degradation["requested"] == "entropy"

@@ -87,6 +87,16 @@ class TestOperatorParity:
         np.testing.assert_allclose(dense.gram(), sparse.gram(), atol=1e-8)
         np.testing.assert_allclose(dense.matrix, sparse.matrix, atol=0.0)
 
+    def test_link_gram_matches_explicit_product(self, europe_routing_pair):
+        dense, sparse = europe_routing_pair
+        weights = np.linspace(0.0, 3.0, dense.num_pairs)
+        expected = dense.matrix @ np.diag(weights) @ dense.matrix.T
+        assert dense.link_gram(weights).shape == (dense.num_links, dense.num_links)
+        np.testing.assert_allclose(dense.link_gram(weights), expected, atol=1e-9)
+        np.testing.assert_allclose(sparse.link_gram(weights), expected, atol=1e-9)
+        with pytest.raises(RoutingError):
+            dense.link_gram(weights[:-1])
+
     def test_rank_and_path_lengths_match(self, europe_routing_pair):
         dense, sparse = europe_routing_pair
         assert dense.rank() == sparse.rank()
@@ -98,6 +108,52 @@ class TestOperatorParity:
         pair = dense.pairs[-1]
         np.testing.assert_allclose(dense.link_row(name), sparse.link_row(name))
         np.testing.assert_allclose(dense.pair_column(pair), sparse.pair_column(pair))
+
+
+def _link_gram_weights(kind, num_pairs):
+    """Per-pair weights shaped like the Newton solvers' Hessian weights."""
+    rng = np.random.default_rng(5)
+    if kind == "zeros":
+        return np.zeros(num_pairs)
+    if kind == "active-set":  # the Bayesian solver's 0/(1/w) mask
+        return 1000.0 * (rng.random(num_pairs) < 0.6)
+    return rng.lognormal(mean=2.0, sigma=3.0, size=num_pairs)  # entropy's p * exp(R'y)
+
+
+class TestLinkGram:
+    """``R diag(d) R'`` on the paper's three backbones, in both backends."""
+
+    @pytest.fixture(scope="class", params=["europe", "abilene", "america"])
+    def routing_pair(self, request):
+        from repro import datasets
+
+        routing = getattr(datasets, f"{request.param}_scenario")().routing
+        return routing.with_backend("dense"), routing.with_backend("sparse")
+
+    @pytest.mark.parametrize("kind", ["zeros", "active-set", "positive"])
+    def test_matches_explicit_product_in_both_backends(self, routing_pair, kind):
+        dense, sparse = routing_pair
+        weights = _link_gram_weights(kind, dense.num_pairs)
+        expected = (dense.matrix * weights) @ dense.matrix.T
+        scale = max(1.0, float(np.abs(expected).max()))
+        for routing in (dense, sparse):
+            product = routing.link_gram(weights)
+            assert isinstance(product, np.ndarray)
+            assert product.shape == (dense.num_links, dense.num_links)
+            np.testing.assert_allclose(product, expected, rtol=1e-12, atol=1e-12 * scale)
+            np.testing.assert_array_equal(product, product.T)
+
+    def test_sparse_product_never_densifies(self, monkeypatch):
+        from repro.datasets import america_scenario
+
+        sparse = america_scenario().routing.with_backend("sparse")
+        expected = sparse.link_gram(np.ones(sparse.num_pairs))
+
+        def refuse(self):
+            raise AssertionError("link_gram densified the sparse routing matrix")
+
+        monkeypatch.setattr(SparseBackend, "toarray", refuse)
+        np.testing.assert_allclose(sparse.link_gram(np.ones(sparse.num_pairs)), expected)
 
 
 class TestEstimateParity:

@@ -74,8 +74,8 @@ class TestBatchAgreement:
         problem = batch_problem(stream_scenario.routing, collector).at_snapshot(1)
         previous = make_prior(problem, "gravity") * 1.1
 
-        updated = get_estimator("entropy").update(problem, previous=previous)
-        manual = get_estimator("entropy")
+        updated = get_estimator("kruithof").update(problem, previous=previous)
+        manual = get_estimator("kruithof")
         manual.set_warm_start(previous)
         expected = manual.estimate(problem)
         np.testing.assert_array_equal(updated.vector, expected.vector)

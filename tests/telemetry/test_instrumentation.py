@@ -3,8 +3,7 @@
 Every estimator's ``estimate``/``estimate_series`` opens a stage span
 automatically (via ``Estimator.__init_subclass__``) and folds its scalar
 diagnostics into the span attributes; the solver loops feed iteration
-counters through their existing ``budget_tick`` call sites; the sharded
-estimator breaks its run into named stage spans.  And all of it must
+counters through their existing ``budget_tick`` call sites.  And all of it must
 collapse to flag checks when telemetry is disabled.
 """
 
@@ -158,31 +157,3 @@ class TestSupervisorCounters:
         records = telemetry.drain_spans()
         event_names = {name for record in records for (_, name, _) in record.events}
         assert "supervisor.construct_failure" in event_names
-
-
-class TestShardedStageSpans:
-    def test_stage_spans_cover_the_run(self, telemetry_on, small_snapshot_problem):
-        result = get_estimator(
-            "sharded", base="gravity", num_regions=2
-        ).estimate(small_snapshot_problem)
-        assert result.diagnostics["num_regions"] == 2
-        records = telemetry.drain_spans()
-        names = {r.name for r in records}
-        for stage in (
-            "sharded.partition",
-            "sharded.coarse",
-            "sharded.shards",
-            "sharded.reconcile",
-        ):
-            assert stage in names, f"missing stage span {stage}"
-        (shards,) = spans_named(records, "sharded.shards")
-        assert shards.attributes["num_shards"] >= 1
-        # every stage nests under the sharded estimate span
-        (estimate,) = [
-            s
-            for s in spans_named(records, "estimate")
-            if s.attributes["method"] == "sharded"
-        ]
-        for stage in ("sharded.partition", "sharded.coarse", "sharded.shards"):
-            (record,) = spans_named(records, stage)
-            assert record.parent_id == estimate.span_id

@@ -452,8 +452,8 @@ class TestRegistryContracts:
         found = lint_estimator(
             """
             @register()
-            class Tomogravity(Estimator):
-                name = "tomogravity"
+            class Vardi(Estimator):
+                name = "vardi"
 
                 def estimate(self, problem):
                     return problem
@@ -466,8 +466,8 @@ class TestRegistryContracts:
         assert lint_estimator(
             """
             @register()
-            class Tomogravity(Estimator):
-                name = "tomogravity"
+            class Vardi(Estimator):
+                name = "vardi"
 
                 def estimate(self, problem):
                     return problem

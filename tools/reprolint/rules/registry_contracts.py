@@ -6,9 +6,9 @@ method sets by *name* — which also means a registered class that quietly
 drops part of the :class:`~repro.estimation.base.Estimator` surface fails
 at a distance: a missing ``estimate`` only explodes inside a sweep, an
 incompatible ``estimate_series`` override silently falls out of the
-batched path, and a removed ``set_warm_start`` turns the PR 3/5 warm-start
-speedups off without any test noticing (the generic series loop probes it
-with ``getattr``).
+batched path, and a removed ``set_warm_start`` turns the warm-started
+series and streaming paths off without any test noticing (the generic
+series loop probes it with ``getattr``).
 
 For every class decorated with ``@register(...)`` the rule checks, across
 all scanned files (inheritance is resolved project-wide by class name):
@@ -41,11 +41,11 @@ from reprolint.engine import Diagnostic, ProjectContext
 
 __all__ = ["RULE", "WARM_START_CONTRACTS"]
 
-#: Registry names whose warm-start support is advertised (README "Batched
-#: series estimation" / "Performance" sections): the generic series loop
-#: feeds each snapshot's solution to the next solve for these methods, and
-#: the BENCH_PR3 grid timings (~4x per cell) depend on it.
-WARM_START_CONTRACTS = {"bayesian", "entropy", "vardi", "tomogravity"}
+#: Registry names that consume a warm start (README "Batched series
+#: estimation" section): the generic series loop and the streaming
+#: ``update`` path feed each snapshot's solution to the next solve for
+#: these methods — Kruithof's incremental IPF and the Vardi QP.
+WARM_START_CONTRACTS = {"kruithof", "vardi"}
 
 #: Methods whose overrides must stay call-compatible with the base class.
 SINGLE_ARGUMENT_METHODS = ("estimate", "estimate_series", "set_warm_start")

@@ -3,7 +3,7 @@
 PR 5/6 bought their scale wins (BENCH_PR5.json, BENCH_PR6.json) by keeping
 the ``(links x pairs)`` routing matrix in CSR end to end: the N=200 tier
 runs in an 18 MB tracemalloc peak where the dense path needs 191 MB, and
-the N=500 sharded tier in 52 MB against a 2.99 GB dense allowance.  A
+the N=500 tier in tens of MB against a 2.99 GB dense allowance.  A
 single careless ``.toarray()`` — or an ``np.asarray`` / ``np.linalg``
 call, which silently densifies operator objects — on a hot path reverts
 that.  The tracemalloc guards in the benchmarks only catch the regression
