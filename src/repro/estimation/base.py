@@ -432,29 +432,18 @@ class SeriesEstimationResult:
         return EstimationResult(estimate=self.matrix(index), method=self.method)
 
 
-#: Historic diagnostics spellings mapped to the canonical key names the
-#: telemetry layer exposes as span attributes.  The in-tree estimators all
-#: emit canonical keys; the aliases keep traces readable should an external
-#: estimator still use the old names.
-_DIAGNOSTIC_ALIASES = {
-    "solver_iterations": "iterations",
-    "solver_converged": "converged",
-    "link_residual": "residual_norm",
-}
-
-
 def _span_diagnostics(diagnostics: Mapping[str, Any]) -> dict[str, Any]:
-    """Scalar diagnostics under canonical names, for span attributes."""
+    """Scalar diagnostics, for span attributes."""
     folded: dict[str, Any] = {}
     for key, value in diagnostics.items():
         if isinstance(value, (bool, np.bool_)):
-            folded[_DIAGNOSTIC_ALIASES.get(key, key)] = bool(value)
+            folded[key] = bool(value)
         elif isinstance(value, (int, np.integer)):
-            folded[_DIAGNOSTIC_ALIASES.get(key, key)] = int(value)
+            folded[key] = int(value)
         elif isinstance(value, (float, np.floating)):
-            folded[_DIAGNOSTIC_ALIASES.get(key, key)] = float(value)
+            folded[key] = float(value)
         elif isinstance(value, str):
-            folded[_DIAGNOSTIC_ALIASES.get(key, key)] = value
+            folded[key] = value
     return folded
 
 
@@ -513,8 +502,21 @@ class Estimator(abc.ABC):
                 setattr(cls, attr, _traced_estimate(impl, attr))
 
     @abc.abstractmethod
-    def estimate(self, problem: EstimationProblem) -> EstimationResult:
-        """Estimate the traffic matrix for ``problem``."""
+    def estimate(
+        self, problem: EstimationProblem, *, start: Optional[np.ndarray] = None
+    ) -> EstimationResult:
+        """Estimate the traffic matrix for ``problem``.
+
+        ``start`` is an optional starting point for the solver, one demand
+        per pair (typically the previous snapshot's estimate).  The
+        iterative solvers that can use one (Kruithof's scaling, the Vardi
+        QP) start from it; every other method ignores it.  A previous
+        estimate as the start (what the series loop and the streaming
+        daemon pass) changes the iteration count, not the minimiser; the
+        estimator never mutates ``start``.  The answer depends on ``problem``,
+        the constructor parameters and ``start`` only, so one instance can
+        serve any number of calls, in any order.
+        """
 
     def estimate_series(self, problem: EstimationProblem) -> SeriesEstimationResult:
         """Estimate every snapshot of the problem's link-load series.
@@ -525,51 +527,19 @@ class Estimator(abc.ABC):
         right-hand sides.  Overrides must agree with this loop on the same
         problem (they are the fast path, not a different method).
 
-        Estimators exposing a ``set_warm_start(vector)`` method receive the
-        previous snapshot's solution before each subsequent snapshot:
-        consecutive snapshots are highly correlated, so iterative solvers
-        (the Vardi QP, Kruithof's scaling) converge in a fraction of their
-        cold-start iterations without changing the answer they converge to.
+        Each snapshot after the first starts from the previous snapshot's
+        estimate: consecutive snapshots are highly correlated, so iterative
+        solvers (the Vardi QP, Kruithof's scaling) converge in a fraction
+        of their cold-start iterations without changing the answer they
+        converge to.
         """
-        series = problem.series
-        num_snapshots = series.shape[0]
+        num_snapshots = problem.series.shape[0]
         estimates = np.empty((num_snapshots, problem.num_pairs))
-        set_warm_start = getattr(self, "set_warm_start", None)
+        start: Optional[np.ndarray] = None
         for index in range(num_snapshots):
-            estimates[index] = self.estimate(problem.at_snapshot(index)).vector
-            # Seed the next snapshot only — no trailing call, so the
-            # estimator carries no warm-start state out of this loop.
-            if set_warm_start is not None and index + 1 < num_snapshots:
-                set_warm_start(estimates[index])
+            estimates[index] = self.estimate(problem.at_snapshot(index), start=start).vector
+            start = estimates[index]
         return self._series_result(problem, estimates, batched=False)
-
-    def update(
-        self, problem: EstimationProblem, previous: Optional[np.ndarray] = None
-    ) -> EstimationResult:
-        """Incrementally estimate one new snapshot, seeded by ``previous``.
-
-        This is the first-class streaming form of the warm-start machinery
-        the series loop uses internally: ``previous`` (typically the last
-        poll's estimate) is handed to :meth:`set_warm_start` when the
-        estimator exposes one, then :meth:`estimate` runs on the new
-        snapshot.  For the warm-started solvers (Kruithof, Vardi) the warm
-        start changes only the iteration count, never the answer — so a
-        stream of ``update`` calls converges to what per-snapshot cold
-        solves would produce, at a fraction of the cost.  Estimators
-        without warm-start support (the link-space Newton solvers of
-        entropy, tomogravity and Bayesian need a handful of iterations
-        from a cold start) run a plain cold :meth:`estimate`.
-
-        Calling ``update(problem, estimates[k - 1])`` for ``k = 0 .. K-1``
-        reproduces the generic :meth:`estimate_series` loop poll by poll;
-        :class:`repro.streaming.StreamingEstimator` drives exactly this
-        API from live poll rounds.
-        """
-        if previous is not None:
-            setter = getattr(self, "set_warm_start", None)
-            if setter is not None:
-                setter(np.asarray(previous, dtype=float))
-        return self.estimate(problem)
 
     def __call__(self, problem: EstimationProblem) -> EstimationResult:
         return self.estimate(problem)

@@ -27,6 +27,8 @@ whose generalised Hessian ``I + R_A R_A' / w`` over the active demands
 
 from __future__ import annotations
 
+from typing import Optional
+
 import numpy as np
 
 from repro.errors import EstimationError
@@ -79,7 +81,9 @@ class BayesianEstimator(Estimator):
             raise EstimationError("prior demands must be non-negative")
         return prior
 
-    def estimate(self, problem: EstimationProblem) -> EstimationResult:
+    def estimate(
+        self, problem: EstimationProblem, *, start: Optional[np.ndarray] = None
+    ) -> EstimationResult:
         """Solve the regularised non-negative least-squares problem."""
         prior = self._prior_vector(problem)
         snapshot = problem.snapshot

@@ -121,7 +121,9 @@ class CaoEstimator(Estimator):
             start = nnls(problem.routing.matrix, mean_loads).x
         return np.maximum(start, 0.0)
 
-    def estimate(self, problem: EstimationProblem) -> EstimationResult:
+    def estimate(
+        self, problem: EstimationProblem, *, start: Optional[np.ndarray] = None
+    ) -> EstimationResult:
         """Run the pseudo-EM iteration on the problem's link-load series."""
         series = problem.series
         mean_loads, covariance = link_load_moments(series)

@@ -27,6 +27,8 @@ KL convention, without any special casing.  The dual gradient ``R s - t +
 
 from __future__ import annotations
 
+from typing import Optional
+
 import numpy as np
 
 from repro.errors import EstimationError
@@ -92,7 +94,9 @@ class EntropyEstimator(Estimator):
             raise EstimationError("prior demands must be non-negative")
         return prior
 
-    def estimate(self, problem: EstimationProblem) -> EstimationResult:
+    def estimate(
+        self, problem: EstimationProblem, *, start: Optional[np.ndarray] = None
+    ) -> EstimationResult:
         """Minimise the regularised objective by Newton's method on its dual."""
         prior = self._prior_vector(problem)
         snapshot = problem.snapshot

@@ -86,7 +86,9 @@ class FanoutEstimator(Estimator):
             "(origin_totals_series or origin_totals)"
         )
 
-    def estimate(self, problem: EstimationProblem) -> EstimationResult:
+    def estimate(
+        self, problem: EstimationProblem, *, start: Optional[np.ndarray] = None
+    ) -> EstimationResult:
         """Fit a single fanout vector to the measurement window."""
         if problem.link_load_series is None:
             raise EstimationError("fanout estimation requires a link-load time series")

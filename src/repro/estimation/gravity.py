@@ -205,7 +205,9 @@ class SimpleGravityEstimator(Estimator):
 
     name = "gravity"
 
-    def estimate(self, problem: EstimationProblem) -> EstimationResult:
+    def estimate(
+        self, problem: EstimationProblem, *, start: Optional[np.ndarray] = None
+    ) -> EstimationResult:
         """Estimate demands from edge totals only (interior links are ignored)."""
         values = gravity_vector(problem)
         return self._result(problem, values, normalisation_total=float(values.sum()))
@@ -256,7 +258,9 @@ class GeneralizedGravityEstimator(Estimator):
             if pair.origin in self.peering_nodes and pair.destination in self.peering_nodes
         }
 
-    def estimate(self, problem: EstimationProblem) -> EstimationResult:
+    def estimate(
+        self, problem: EstimationProblem, *, start: Optional[np.ndarray] = None
+    ) -> EstimationResult:
         """Estimate demands, zeroing every peer-to-peer pair."""
         excluded = self._excluded(problem)
         values = gravity_vector(problem, excluded_pairs=excluded)

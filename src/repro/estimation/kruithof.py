@@ -81,26 +81,22 @@ class KruithofEstimator(Estimator):
         self.prior = prior
         self.max_iterations = int(max_iterations)
         self.tolerance = float(tolerance)
-        self._warm_start: Optional[np.ndarray] = None
 
-    def set_warm_start(self, vector: np.ndarray) -> None:
-        """Seed the next fit's IPF iteration with ``vector`` (one-shot).
+    def estimate(
+        self, problem: EstimationProblem, *, start: Optional[np.ndarray] = None
+    ) -> EstimationResult:
+        """Fit the prior to the measured origin/destination totals.
 
-        This is *incremental IPF*: the iteration's fixed point depends on
-        the starting table only through its biproportional equivalence
-        class, so a previous fit of the same prior — which is exactly what
-        the series loop and the streaming
-        :meth:`~repro.estimation.base.Estimator.update` API pass — starts
-        the next solve already scaled to nearly the right totals and
-        converges in a handful of sweeps without changing the minimiser.
-        The seed is only used when it shares the prior's support (a
-        previous fit always does); otherwise the solve cold-starts from
-        the prior, keeping the projection target intact.
+        ``start`` seeds the IPF iteration (*incremental IPF*): the fixed
+        point depends on the starting table only through its
+        biproportional equivalence class, so a previous fit of the same
+        prior — which is what the series loop and the streaming daemon
+        pass — starts the solve already scaled to nearly the right totals
+        and converges in a handful of sweeps without changing the
+        minimiser.  The start is used only when it shares the prior's
+        support (a previous fit always does); otherwise the solve
+        cold-starts from the prior, keeping the projection target intact.
         """
-        self._warm_start = np.asarray(vector, dtype=float).copy()
-
-    def estimate(self, problem: EstimationProblem) -> EstimationResult:
-        """Fit the prior to the measured origin/destination totals."""
         if problem.origin_totals is None or problem.destination_totals is None:
             raise EstimationError(
                 "Kruithof's method needs origin_totals and destination_totals"
@@ -110,17 +106,16 @@ class KruithofEstimator(Estimator):
 
         prior_matrix = np.zeros((len(origins), len(destinations)))
         prior_matrix[origin_cols, destination_cols] = prior
-        warm = self._warm_start
-        self._warm_start = None
         initial = None
-        if (
-            warm is not None
-            and warm.shape == prior.shape
-            and np.all(warm >= 0)
-            and np.array_equal(warm > 0, prior > 0)
-        ):
-            initial = np.zeros_like(prior_matrix)
-            initial[origin_cols, destination_cols] = warm
+        if start is not None:
+            warm = np.asarray(start, dtype=float)
+            if (
+                warm.shape == prior.shape
+                and np.all(warm >= 0)
+                and np.array_equal(warm > 0, prior > 0)
+            ):
+                initial = np.zeros_like(prior_matrix)
+                initial[origin_cols, destination_cols] = warm
         row_targets = np.array([problem.origin_totals.get(name, 0.0) for name in origins])
         column_targets = np.array(
             [problem.destination_totals.get(name, 0.0) for name in destinations]
@@ -250,7 +245,9 @@ class KLProjectionEstimator(Estimator):
         self.max_iterations = int(max_iterations)
         self.tolerance = float(tolerance)
 
-    def estimate(self, problem: EstimationProblem) -> EstimationResult:
+    def estimate(
+        self, problem: EstimationProblem, *, start: Optional[np.ndarray] = None
+    ) -> EstimationResult:
         """Project the prior onto the link-load constraints."""
         prior = _resolve_prior(problem, self.prior)
         # ``native`` hands iterative scaling the CSR matrix on sparse

@@ -123,7 +123,9 @@ class DirectMeasurementCombiner(Estimator):
         self.measured = dict(measured)
         self.name = f"{base_estimator.name}+direct"
 
-    def estimate(self, problem: EstimationProblem) -> EstimationResult:
+    def estimate(
+        self, problem: EstimationProblem, *, start: Optional[np.ndarray] = None
+    ) -> EstimationResult:
         """Estimate the unmeasured demands and splice the measured ones back in."""
         reduced = reduce_problem(problem, self.measured)
         if reduced.num_pairs == 0:

@@ -11,7 +11,7 @@ minimising the link-load residual (a proxy usable without ground truth).
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -56,7 +56,9 @@ class TomogravityEstimator(Estimator):
         else:
             self._inner = BayesianEstimator(regularization=regularization, prior=prior)
 
-    def estimate(self, problem: EstimationProblem) -> EstimationResult:
+    def estimate(
+        self, problem: EstimationProblem, *, start: Optional[np.ndarray] = None
+    ) -> EstimationResult:
         """Run the underlying regularised estimator with the gravity prior."""
         result = self._inner.estimate(problem)
         diagnostics = dict(result.diagnostics)

@@ -89,23 +89,17 @@ class VardiEstimator(Estimator):
         self.poisson_weight = float(poisson_weight)
         self.max_iterations = int(max_iterations)
         self.tolerance = float(tolerance)
-        self._warm_start: Optional[np.ndarray] = None
 
-    def set_warm_start(self, vector: np.ndarray) -> None:
-        """Use ``vector`` as the next QP's starting point.
+    def estimate(
+        self, problem: EstimationProblem, *, start: Optional[np.ndarray] = None
+    ) -> EstimationResult:
+        """Match the sample moments of the link-load series.
 
-        Called by the generic :meth:`~repro.estimation.base.Estimator.estimate_series`
-        loop with the previous snapshot's solution; the projected-gradient
-        solver started near the optimum converges in a handful of
-        iterations instead of thousands.  The warm start is one-shot — it
-        applies to the next :meth:`estimate` call only (and only when its
-        dimension matches), so plain repeated calls keep their cold-start
-        behaviour bit for bit.
+        ``start`` (e.g. the previous window's solution) seeds the
+        projected-gradient QP when its dimension matches; started near the
+        optimum the solver converges in a handful of iterations instead of
+        thousands.
         """
-        self._warm_start = np.asarray(vector, dtype=float).copy()
-
-    def estimate(self, problem: EstimationProblem) -> EstimationResult:
-        """Match the sample moments of the link-load series."""
         series = problem.series
         mean, covariance = link_load_moments(series)
         routing = problem.routing
@@ -122,9 +116,8 @@ class VardiEstimator(Estimator):
             )
 
         x0 = None
-        if self._warm_start is not None and self._warm_start.shape == linear.shape:
-            x0 = self._warm_start
-        self._warm_start = None
+        if start is not None and np.shape(start) == linear.shape:
+            x0 = start
         solution = nonnegative_quadratic_program(
             hessian,
             linear,

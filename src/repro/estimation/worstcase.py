@@ -235,7 +235,9 @@ class WorstCaseBoundsEstimator(Estimator):
             use_edge_totals=self.use_edge_totals,
         )
 
-    def estimate(self, problem: EstimationProblem) -> EstimationResult:
+    def estimate(
+        self, problem: EstimationProblem, *, start: Optional[np.ndarray] = None
+    ) -> EstimationResult:
         """Bound every selected demand and return the interval midpoints.
 
         Unselected pairs receive an even share of the residual traffic:

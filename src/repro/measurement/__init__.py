@@ -32,7 +32,6 @@ from repro.measurement.snmp import (
     RateDiagnostics,
     SNMPPoller,
     rates_from_poll_matrix,
-    rates_from_polls,
 )
 
 __all__ = [
@@ -46,7 +45,6 @@ __all__ = [
     "PollMatrix",
     "RateDiagnostics",
     "SNMPPoller",
-    "rates_from_polls",
     "rates_from_poll_matrix",
     "MeasurementArchive",
     "DistributedCollector",

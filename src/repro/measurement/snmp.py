@@ -19,11 +19,11 @@ This module models that pipeline for a single poller:
 * :class:`PollMatrix` — the dense ``(rounds, objects)`` outcome of a polling
   schedule (response times, counter values, loss mask), convertible to and
   from per-round :class:`PollResult` lists;
-* :func:`rates_from_polls` / :func:`rates_from_poll_matrix` — turn
-  consecutive poll rounds into the rate samples the estimation pipeline
-  consumes, interpolating over lost polls and reporting
-  :class:`RateDiagnostics` (how many samples were lost to UDP, degenerate
-  because no time elapsed between responses, or filled by interpolation).
+* :func:`rates_from_poll_matrix` — turns consecutive poll rounds into the
+  rate samples the estimation pipeline consumes, interpolating over lost
+  polls and reporting :class:`RateDiagnostics` (how many samples were lost
+  to UDP, degenerate because no time elapsed between responses, or filled
+  by interpolation).
 """
 
 from __future__ import annotations
@@ -41,7 +41,6 @@ __all__ = [
     "PollMatrix",
     "RateDiagnostics",
     "SNMPPoller",
-    "rates_from_polls",
     "rates_from_poll_matrix",
 ]
 
@@ -520,29 +519,6 @@ class SNMPPoller:
             polls = self.fault_plan.apply_to_polls(polls, salt=self.fault_salt)
         return polls
 
-    def run_schedule(
-        self,
-        rate_series_mbps: Union[Sequence[Mapping[str, float]], np.ndarray],
-        start_time: float = 0.0,
-    ) -> list[list[PollResult]]:
-        """Drive the counters with a rate series and poll after every interval.
-
-        ``rate_series_mbps[k]`` is the sustained per-object rate during the
-        ``k``-th interval (a mapping per interval, or a ``(K, objects)``
-        array).  The returned list has one poll round per interval boundary,
-        *including* an initial poll at ``start_time``.  This is the
-        compatibility view of :meth:`run_schedule_matrix`; both consume the
-        random stream identically.
-        """
-        if isinstance(rate_series_mbps, np.ndarray):
-            rate_matrix = rate_series_mbps
-        else:
-            rate_matrix = np.array(
-                [self._rates_array(rates) for rates in rate_series_mbps]
-            ).reshape(len(rate_series_mbps), self.num_objects)
-        return self.run_schedule_matrix(rate_matrix, start_time=start_time).to_rounds()
-
-
 def rates_from_poll_matrix(
     polls: PollMatrix,
     max_interpolated_fraction: float = 1.0,
@@ -641,26 +617,3 @@ def rates_from_poll_matrix(
         known = ~np.isnan(column)
         column[~known] = np.interp(indices[~known], indices[known], column[known])
     return rates, diagnostics
-
-
-def rates_from_polls(
-    poll_rounds: Sequence[Sequence[PollResult]],
-    object_names: Sequence[str],
-    max_interpolated_fraction: float = 1.0,
-    return_diagnostics: bool = False,
-    counter_bits: int = 64,
-) -> Union[np.ndarray, tuple[np.ndarray, RateDiagnostics]]:
-    """Convert consecutive poll rounds into interval rates in Mbit/s.
-
-    Compatibility wrapper over :func:`rates_from_poll_matrix` for per-round
-    :class:`PollResult` lists.  Returns an array of shape
-    ``(K, num_objects)`` for ``K + 1`` poll rounds, or
-    ``(rates, diagnostics)`` when ``return_diagnostics`` is set.
-    """
-    matrix = PollMatrix.from_rounds(poll_rounds, object_names, counter_bits=counter_bits)
-    rates, diagnostics = rates_from_poll_matrix(
-        matrix, max_interpolated_fraction=max_interpolated_fraction
-    )
-    if return_diagnostics:
-        return rates, diagnostics
-    return rates

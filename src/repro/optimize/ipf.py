@@ -115,8 +115,9 @@ def kruithof_scaling(
         to slightly different targets — reaches the same KL projection of
         the prior in a handful of sweeps instead of hundreds.  The initial
         table must share the prior's support (zero exactly where the prior
-        is zero); callers are responsible for that invariant (see
-        :meth:`repro.estimation.kruithof.KruithofEstimator.set_warm_start`).
+        is zero); callers are responsible for that invariant (see the
+        ``start`` argument of
+        :meth:`repro.estimation.kruithof.KruithofEstimator.estimate`).
     """
     prior = np.asarray(prior, dtype=float)
     row_targets = np.asarray(row_targets, dtype=float)

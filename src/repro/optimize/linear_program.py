@@ -46,7 +46,14 @@ import scipy.optimize
 import scipy.sparse
 
 from repro.errors import SolverError
-from repro.parallel import effective_jobs
+from repro.parallel import (
+    PayloadRef,
+    effective_jobs,
+    release_payload,
+    resolve_payload,
+    run_supervised_tasks,
+    share_payload,
+)
 
 __all__ = [
     "LPResult",
@@ -453,26 +460,15 @@ def _solve_bound_chunk(
     return lower, upper, num_lps, num_skipped, engine
 
 
-# ----------------------------------------------------------------------
-# process-pool fan-out
-# ----------------------------------------------------------------------
-_POOL_MODEL: dict = {}
+def _solve_shared_chunk(model_ref: PayloadRef, indices: Sequence[int]):
+    """Pool entry point: the constraint model arrives as a shared-payload ref.
 
-
-def _pool_initializer(csc_parts, rhs, presolve_lower) -> None:
-    indptr, indices, data, shape = csc_parts
-    _POOL_MODEL["csc"] = scipy.sparse.csc_matrix((data, indices, indptr), shape=shape)
-    _POOL_MODEL["rhs"] = rhs
-    _POOL_MODEL["presolve_lower"] = presolve_lower
-
-
-def _pool_solve_chunk(chunk: Sequence[int]):
-    return _solve_bound_chunk(
-        _POOL_MODEL["csc"],
-        _POOL_MODEL["rhs"],
-        chunk,
-        _POOL_MODEL["presolve_lower"],
-    )
+    ``(csc, rhs, presolve_lower)`` is registered once via
+    :func:`repro.parallel.share_payload`; fork workers inherit it without
+    pickling, spawn workers receive it once per worker — never per chunk.
+    """
+    csc, rhs, presolve_lower = resolve_payload(model_ref)
+    return _solve_bound_chunk(csc, rhs, indices, presolve_lower)
 
 
 def bound_variables_batch(
@@ -500,13 +496,20 @@ def bound_variables_batch(
         The constraint system; dense or SciPy sparse.
     n_jobs:
         Worker processes for the surviving LPs.  ``1`` (default) solves
-        in-process; ``None`` uses ``os.cpu_count()``.  Each worker builds
-        its model once from shared arrays and solves a contiguous chunk.
+        in-process; ``None`` uses ``os.cpu_count()``.  The chunks run on
+        :func:`repro.parallel.run_supervised_tasks`, so a crashed worker's
+        chunk is resubmitted and, failing that, re-solved in the parent;
+        each chunk builds its model once from the shared arrays.
     presolve:
         Disable to force every requested coordinate through the LPs
         (used by the parity tests).
     chunk_size:
-        Pairs per pool task (default: survivors split evenly per worker).
+        Pairs per chunk (default: survivors split evenly per worker, so a
+        single chunk for ``n_jobs=1``).  Each chunk runs on its own solver
+        instance, so the bounds depend on the chunking in the last bits,
+        but not on which process solves a chunk: with the same
+        ``chunk_size``, any ``n_jobs`` and any worker crash give the same
+        bounds bit for bit.
 
     Raises
     ------
@@ -560,32 +563,21 @@ def bound_variables_batch(
         # garbage silently.  One zero-objective LP settles it.
         solve_linear_program(np.zeros(num_vars), csr, rhs)
     if surviving:
-        csc = csr.tocsc()
-        surviving_indices = [index_list[pos] for pos in surviving]
-        if jobs == 1:
-            chunk_results = [_solve_bound_chunk(csc, rhs, surviving_indices, pre_lower)]
-            chunks = [surviving]
-        else:
-            from concurrent.futures import ProcessPoolExecutor
-
-            if chunk_size is None:
-                chunk_size = max(1, -(-len(surviving) // jobs))
-            chunks = [
-                surviving[start : start + chunk_size]
-                for start in range(0, len(surviving), chunk_size)
-            ]
-            csc_parts = (csc.indptr, csc.indices, csc.data, csc.shape)
-            with ProcessPoolExecutor(
-                max_workers=jobs,
-                initializer=_pool_initializer,
-                initargs=(csc_parts, rhs, pre_lower),
-            ) as pool:
-                chunk_results = list(
-                    pool.map(
-                        _pool_solve_chunk,
-                        [[index_list[pos] for pos in chunk] for chunk in chunks],
-                    )
-                )
+        if chunk_size is None:
+            chunk_size = max(1, -(-len(surviving) // jobs))
+        chunks = [
+            surviving[start : start + chunk_size]
+            for start in range(0, len(surviving), chunk_size)
+        ]
+        model_ref = share_payload((csr.tocsc(), rhs, pre_lower))
+        try:
+            chunk_results, _pool_report = run_supervised_tasks(
+                _solve_shared_chunk,
+                [(model_ref, [index_list[pos] for pos in chunk]) for chunk in chunks],
+                jobs=jobs,
+            )
+        finally:
+            release_payload(model_ref)
         for chunk, (chunk_lower, chunk_upper, lps, skipped, chunk_engine) in zip(
             chunks, chunk_results
         ):

@@ -66,9 +66,10 @@ class SupervisedEstimator(Estimator):
         allowance; ``None`` leaves that axis unbounded (no budget at all
         when both are ``None``).
     retries:
-        Extra attempts of the *primary* after its first failure, each with
-        a deterministically perturbed warm start (methods without
-        ``set_warm_start`` simply retry unperturbed).
+        Extra attempts of the *primary* after its first failure, each
+        passing a deterministically perturbed ``start`` to ``estimate``
+        (methods that ignore ``start``, and series retries, simply retry
+        unperturbed).
     retry_seed:
         Seeds the warm-start perturbations, so retry behaviour is
         reproducible and identical across serial and parallel runs.
@@ -166,10 +167,9 @@ class SupervisedEstimator(Estimator):
             for attempt in range(retries + 1):
                 attempts += 1
                 telemetry.counter_inc("supervisor.attempts")
+                start = None
                 if attempt > 0:
-                    setter = getattr(estimator, "set_warm_start", None)
-                    if setter is not None:
-                        setter(self._perturbed_start(problem, attempt))
+                    start = self._perturbed_start(problem, attempt)
                     telemetry.counter_inc("supervisor.retries")
                     telemetry.add_event("supervisor.retry", method=name, attempt=attempt)
                     events.append(
@@ -188,11 +188,9 @@ class SupervisedEstimator(Estimator):
                         result = (
                             estimator.estimate_series(problem)
                             if series
-                            else estimator.estimate(problem)
+                            else estimator.estimate(problem, start=start)
                         )
-                    converged = result.diagnostics.get(
-                        "converged", result.diagnostics.get("solver_converged")
-                    )
+                    converged = result.diagnostics.get("converged")
                     if self.require_convergence and converged is False:
                         raise EstimationError(
                             f"method {name!r} reported converged=False"
@@ -255,8 +253,14 @@ class SupervisedEstimator(Estimator):
         return diagnostics
 
     # ------------------------------------------------------------------
-    def estimate(self, problem: EstimationProblem) -> EstimationResult:
-        """Run the supervised chain on a snapshot problem."""
+    def estimate(
+        self, problem: EstimationProblem, *, start: Optional[np.ndarray] = None
+    ) -> EstimationResult:
+        """Run the supervised chain on a snapshot problem.
+
+        ``start`` is ignored: the first attempt of every method runs cold,
+        and retries start from the seeded perturbations.
+        """
         result, report = self._run(problem, series=False)
         return EstimationResult(
             estimate=result.estimate,

@@ -4,8 +4,8 @@
 ``estimate_series`` loop: it consumes SNMP poll rounds one at a time,
 derives interval rates causally through a
 :class:`~repro.streaming.stream.CounterTracker`, and updates its estimate
-incrementally through the first-class
-:meth:`~repro.estimation.base.Estimator.update` API (warm-started solves /
+incrementally by passing the previous estimate as the ``start`` of
+:meth:`~repro.estimation.base.Estimator.estimate` (warm-started solves /
 incremental IPF).  A bounded ring buffer keeps the recent measurement
 window; everything older is forgotten, so memory is constant regardless of
 stream length.
@@ -504,7 +504,7 @@ class StreamingEstimator:
         degraded = False
         with telemetry.span("stream.update", sequence=sequence, epoch=self.epoch):
             try:
-                result = self._estimator.update(problem, previous=warm)
+                result = self._estimator.estimate(problem, start=warm)
             except (EstimationError, SolverError) as exc:
                 degraded = True
                 self.degraded_updates += 1

@@ -104,7 +104,7 @@ class _ConstantEstimator(Estimator):
         self.value = value
         self.wrong_shape = wrong_shape
 
-    def estimate(self, problem):
+    def estimate(self, problem, *, start=None):
         size = problem.num_pairs + (1 if self.wrong_shape else 0)
         return self._result(problem, np.full(size, self.value), note=1.0)
 

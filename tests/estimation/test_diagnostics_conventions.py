@@ -5,8 +5,9 @@ canonical names — ``iterations``, ``converged``, ``residual_norm`` — so
 traces and summary rollups compare methods on one vocabulary.  The
 in-tree estimators must emit those canonical keys directly; the historic
 spellings (``solver_iterations``, ``solver_converged``,
-``link_residual``) are banned (they survive only as read-time aliases
-for external estimators, see ``_DIAGNOSTIC_ALIASES``).
+``link_residual``) are banned, and nothing translates them any more: a
+result carrying one would put it on the trace under that name, and the
+supervisor's ``require_convergence`` reads ``converged`` only.
 
 The test is total over :func:`available_estimators`: registering a new
 method without declaring its diagnostics contract here fails the suite.

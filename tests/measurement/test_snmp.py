@@ -12,8 +12,13 @@ from repro.measurement import (
     PollResult,
     SNMPPoller,
     rates_from_poll_matrix,
-    rates_from_polls,
 )
+
+
+def rates_from_rounds(poll_rounds, object_names, counter_bits=64, **kwargs):
+    """``(rates, diagnostics)`` of per-round :class:`PollResult` lists."""
+    polls = PollMatrix.from_rounds(poll_rounds, object_names, counter_bits=counter_bits)
+    return rates_from_poll_matrix(polls, **kwargs)
 
 
 class TestCounterState:
@@ -66,8 +71,9 @@ class TestPoller:
 
     def test_run_schedule_produces_rounds(self):
         poller = SNMPPoller(["a"], interval_seconds=300.0, jitter_std_seconds=0.0, seed=3)
-        rounds = poller.run_schedule([{"a": 100.0}, {"a": 200.0}], start_time=0.0)
-        assert len(rounds) == 3
+        polls = poller.run_schedule_matrix(np.array([[100.0], [200.0]]), start_time=0.0)
+        assert polls.num_rounds == 3
+        assert len(polls.to_rounds()) == 3
 
 
 class TestRatesFromPolls:
@@ -75,8 +81,8 @@ class TestRatesFromPolls:
         poller = SNMPPoller(
             ["x"], interval_seconds=300.0, jitter_std_seconds=jitter, loss_probability=loss, seed=seed
         )
-        rounds = poller.run_schedule([{"x": r} for r in rates], start_time=0.0)
-        return rates_from_polls(rounds, ["x"])
+        polls = poller.run_schedule_matrix(np.array(rates)[:, None], start_time=0.0)
+        return rates_from_poll_matrix(polls)[0]
 
     def test_exact_recovery_without_jitter(self):
         recovered = self.run_pipeline([100.0, 250.0, 50.0])
@@ -96,13 +102,13 @@ class TestRatesFromPolls:
     def test_requires_two_rounds(self):
         poller = SNMPPoller(["x"], seed=1)
         with pytest.raises(MeasurementError):
-            rates_from_polls([poller.poll(0.0)], ["x"])
+            rates_from_rounds([poller.poll(0.0)], ["x"])
 
     def test_missing_object_in_round_rejected(self):
         round_a = [PollResult("x", 0.0, 0.0, 0)]
         round_b = [PollResult("y", 300.0, 300.0, 0)]
         with pytest.raises(MeasurementError):
-            rates_from_polls([round_a, round_b], ["x"])
+            PollMatrix.from_rounds([round_a, round_b], ["x"])
 
     def test_all_lost_rejected(self):
         rounds = [
@@ -110,7 +116,7 @@ class TestRatesFromPolls:
             [PollResult("x", 300.0, 300.0, None)],
         ]
         with pytest.raises(MeasurementError):
-            rates_from_polls(rounds, ["x"])
+            rates_from_rounds(rounds, ["x"])
 
 
 def _reference_rates(poll_rounds, object_names):
@@ -145,7 +151,10 @@ class TestVectorizedPoller:
 
         by_rounds = SNMPPoller(names, jitter_std_seconds=2.0, loss_probability=0.2, seed=9)
         by_matrix = SNMPPoller(names, jitter_std_seconds=2.0, loss_probability=0.2, seed=9)
-        rounds = by_rounds.run_schedule(rate_rows, start_time=600.0)
+        rounds = [by_rounds.poll(600.0)]
+        for k, rates in enumerate(rate_rows, start=1):
+            by_rounds.advance_counters(rates, by_rounds.interval_seconds)
+            rounds.append(by_rounds.poll(600.0 + k * by_rounds.interval_seconds))
         matrix = by_matrix.run_schedule_matrix(rate_matrix, start_time=600.0)
 
         assert matrix.num_rounds == len(rounds) == 3
@@ -170,10 +179,21 @@ class TestVectorizedPoller:
         poller.counter("a").value_bytes = 2**64 - 10
         poller.advance_counters({"a": 8.0}, duration_seconds=1.0)
         assert 0 <= poller.counter("a").value_bytes < 2**64
-        rates = rates_from_polls(
-            poller.run_schedule([{"a": 100.0}], start_time=0.0), ["a"]
+        rates, _ = rates_from_poll_matrix(
+            poller.run_schedule_matrix(np.array([[100.0]]), start_time=0.0)
         )
         assert rates[0, 0] == pytest.approx(100.0, rel=1e-6)
+
+    def test_round_lists_wrap_like_counter32(self):
+        interval_bytes = 300 * 125_000  # 1 Mbit/s for 300 s
+        rounds = [
+            [PollResult("x", 0.0, 0.0, 2**32 - interval_bytes // 2)],
+            [PollResult("x", 300.0, 300.0, interval_bytes // 2)],
+        ]
+        rates, diagnostics = rates_from_rounds(rounds, ["x"], counter_bits=32)
+        assert diagnostics.wrap_samples == 1
+        assert diagnostics.reset_samples == 0
+        assert rates[0, 0] == pytest.approx(1.0)
 
     def test_negative_rates_rejected(self):
         poller = SNMPPoller(["a"], seed=1)
@@ -199,8 +219,8 @@ class TestVectorizedPoller:
 class TestRateDiagnostics:
     def test_clean_run_has_no_interpolation(self):
         poller = SNMPPoller(["a", "b"], jitter_std_seconds=0.0, seed=1)
-        rounds = poller.run_schedule([{"a": 10.0}] * 5)
-        _, diagnostics = rates_from_polls(rounds, ["a", "b"], return_diagnostics=True)
+        polls = poller.run_schedule_matrix(np.tile([10.0, 0.0], (5, 1)))
+        _, diagnostics = rates_from_poll_matrix(polls)
         assert diagnostics.num_intervals == 5
         assert diagnostics.num_objects == 2
         assert diagnostics.total_samples == 10
@@ -216,7 +236,7 @@ class TestRateDiagnostics:
             [PollResult("x", 600.0, 600.0, 2 * 300 * 125_000)],
             [PollResult("x", 900.0, 900.0, 3 * 300 * 125_000)],
         ]
-        rates, diagnostics = rates_from_polls(rounds, ["x"], return_diagnostics=True)
+        rates, diagnostics = rates_from_rounds(rounds, ["x"])
         # The lost middle poll invalidates the two adjacent intervals.
         assert diagnostics.lost_samples == 2
         assert diagnostics.degenerate_samples == 0
@@ -233,7 +253,7 @@ class TestRateDiagnostics:
             [PollResult("x", 300.0, 5.0, 1000)],
             [PollResult("x", 600.0, 605.0, 2000)],
         ]
-        rates, diagnostics = rates_from_polls(rounds, ["x"], return_diagnostics=True)
+        rates, diagnostics = rates_from_rounds(rounds, ["x"])
         assert diagnostics.degenerate_samples == 1
         assert diagnostics.lost_samples == 0
         assert diagnostics.interpolated_samples == 1
@@ -247,15 +267,13 @@ class TestRateDiagnostics:
             [PollResult("x", 900.0, 900.0, 3000)],
         ]
         with pytest.raises(MeasurementError, match="interpolated"):
-            rates_from_polls(rounds, ["x"], max_interpolated_fraction=0.5)
+            rates_from_rounds(rounds, ["x"], max_interpolated_fraction=0.5)
         # The same data passes with a permissive threshold.
-        rates_from_polls(rounds, ["x"], max_interpolated_fraction=0.7)
+        rates_from_rounds(rounds, ["x"], max_interpolated_fraction=0.7)
 
     def test_merged_accumulates_counts(self):
         poller = SNMPPoller(["a"], jitter_std_seconds=0.0, seed=1)
-        _, first = rates_from_polls(
-            poller.run_schedule([{"a": 10.0}] * 4), ["a"], return_diagnostics=True
-        )
+        _, first = rates_from_poll_matrix(poller.run_schedule_matrix(np.full((4, 1), 10.0)))
         merged = first.merged(first)
         assert merged.num_objects == 2
         assert merged.total_samples == 8

@@ -20,6 +20,8 @@ import numpy as np
 import pytest
 
 from repro.errors import SolverError
+from repro.parallel import clear_worker_faults, install_worker_faults
+from repro.resilience import WorkerFaultPlan
 from repro.optimize.linear_program import (
     bound_variable,
     bound_variables_batch,
@@ -107,6 +109,26 @@ class TestBatchMatchesPerPairLoop:
         assert pooled.n_jobs == 2
         np.testing.assert_allclose(pooled.lower, serial.lower, atol=1e-8)
         np.testing.assert_allclose(pooled.upper, serial.upper, atol=1e-8)
+
+    def test_worker_crash_keeps_pooled_bounds_bit_identical(self, monkeypatch):
+        import os
+
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        rng = np.random.default_rng(21)
+        matrix, rhs = random_routing_system(rng, num_rows=20, num_vars=40)
+        serial = bound_variables_batch(range(40), matrix, rhs, n_jobs=1, chunk_size=10)
+        install_worker_faults(WorkerFaultPlan(crash_tasks=(0,), crash_rounds=1))
+        try:
+            with pytest.warns(RuntimeWarning, match="broken-pool"):
+                pooled = bound_variables_batch(
+                    range(40), matrix, rhs, n_jobs=2, chunk_size=10
+                )
+        finally:
+            clear_worker_faults()
+        assert pooled.n_jobs == 2
+        assert pooled.num_lps_solved == serial.num_lps_solved
+        np.testing.assert_array_equal(pooled.lower, serial.lower)
+        np.testing.assert_array_equal(pooled.upper, serial.upper)
 
     def test_sparse_input_accepted(self):
         import scipy.sparse

@@ -66,27 +66,28 @@ class TestBatchAgreement:
             streamed, np.maximum(reference.estimates, 0.0), rtol=1e-3, atol=1e-2
         )
 
-    def test_incremental_update_equals_warm_started_estimate(
+    def test_incremental_estimate_equals_a_fresh_warm_started_estimate(
         self, stream_scenario, collector_factory
     ):
         collector = collector_factory()
         collector.collect(stream_scenario.day_series)
         problem = batch_problem(stream_scenario.routing, collector).at_snapshot(1)
         previous = make_prior(problem, "gravity") * 1.1
+        untouched = previous.copy()
 
-        updated = get_estimator("kruithof").update(problem, previous=previous)
-        manual = get_estimator("kruithof")
-        manual.set_warm_start(previous)
-        expected = manual.estimate(problem)
+        shared = get_estimator("kruithof")
+        shared.estimate(problem, start=previous * 0.5)
+        updated = shared.estimate(problem, start=previous)
+        expected = get_estimator("kruithof").estimate(problem, start=previous)
         np.testing.assert_array_equal(updated.vector, expected.vector)
+        np.testing.assert_array_equal(previous, untouched)
 
-    def test_update_without_previous_is_plain_estimate(
-        self, stream_scenario, collector_factory
-    ):
+    def test_start_is_ignored_by_cold_methods(self, stream_scenario, collector_factory):
         collector = collector_factory()
         collector.collect(stream_scenario.day_series)
         problem = batch_problem(stream_scenario.routing, collector).at_snapshot(0)
-        updated = get_estimator("tomogravity").update(problem)
+        previous = make_prior(problem, "gravity") * 1.1
+        updated = get_estimator("tomogravity").estimate(problem, start=previous)
         expected = get_estimator("tomogravity").estimate(problem)
         np.testing.assert_array_equal(updated.vector, expected.vector)
 
@@ -189,16 +190,16 @@ class TestWatchdog:
             collector_factory(), method="tomogravity", watchdog_every=0
         )
 
-        original = daemon._estimator.update
+        original = daemon._estimator.estimate
         failures = {"left": 2}
 
-        def flaky_update(problem, previous=None):
+        def flaky_estimate(problem, *, start=None):
             if failures["left"] > 0:
                 failures["left"] -= 1
                 raise EstimationError("injected incremental failure")
-            return original(problem, previous=previous)
+            return original(problem, start=start)
 
-        monkeypatch.setattr(daemon._estimator, "update", flaky_update)
+        monkeypatch.setattr(daemon._estimator, "estimate", flaky_estimate)
         with pytest.warns(RuntimeWarning, match="incremental update failed"):
             records = list(daemon.run(stream))
         degraded = [record for record in records if record.degraded]
@@ -220,15 +221,15 @@ class TestEpochChurn:
         )
 
         captured = {}
-        original = daemon._estimator.update
+        original = daemon._estimator.estimate
 
-        def capture_update(problem, previous=None):
-            if previous is not None and "warm" not in captured and daemon.epoch == 1:
-                captured["warm"] = previous.copy()
+        def capture_estimate(problem, *, start=None):
+            if start is not None and "warm" not in captured and daemon.epoch == 1:
+                captured["warm"] = start.copy()
                 captured["problem"] = problem
-            return original(problem, previous=previous)
+            return original(problem, start=start)
 
-        daemon._estimator.update = capture_update
+        daemon._estimator.estimate = capture_estimate
 
         failed_link = routing.link_names[0]
         records = []

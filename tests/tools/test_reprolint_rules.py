@@ -391,7 +391,7 @@ class TestRegistryContracts:
             class BaseImpl(Estimator):
                 name = "base-impl"
 
-                def estimate(self, problem):
+                def estimate(self, problem, *, start=None):
                     return problem
 
             @register()
@@ -407,7 +407,7 @@ class TestRegistryContracts:
             class Wrong(Estimator):
                 name = "wrong"
 
-                def estimate(self, problem, mode):
+                def estimate(self, problem, mode, *, start=None):
                     return problem
             """
         )
@@ -421,7 +421,7 @@ class TestRegistryContracts:
             class Flexible(Estimator):
                 name = "flexible"
 
-                def estimate(self, problem, tolerance=1e-9, *, verbose=False):
+                def estimate(self, problem, tolerance=1e-9, *, verbose=False, start=None):
                     return problem
             """
         ) == []
@@ -431,7 +431,7 @@ class TestRegistryContracts:
             """
             @register()
             class Nameless(Estimator):
-                def estimate(self, problem):
+                def estimate(self, problem, *, start=None):
                     return problem
             """
         )
@@ -443,12 +443,12 @@ class TestRegistryContracts:
             """
             @register("explicit")
             class Explicit(Estimator):
-                def estimate(self, problem):
+                def estimate(self, problem, *, start=None):
                     return problem
             """
         ) == []
 
-    def test_warm_start_contract_enforced(self, lint_estimator):
+    def test_start_keyword_contract_enforced(self, lint_estimator):
         found = lint_estimator(
             """
             @register()
@@ -460,20 +460,38 @@ class TestRegistryContracts:
             """
         )
         assert codes(found) == ["REPRO401"]
-        assert "warm-startable" in found[0].message
+        assert "start keyword" in found[0].message
 
-    def test_warm_start_contract_satisfied(self, lint_estimator):
+    def test_inherited_estimate_without_start_flagged(self, lint_estimator):
+        found = lint_estimator(
+            """
+            class BaseImpl(Estimator):
+                name = "base-impl"
+
+                def estimate(self, problem, start=0):
+                    return problem
+
+            class Middle(BaseImpl):
+                def estimate(self, problem):
+                    return problem
+
+            @register()
+            class Derived(Middle):
+                name = "derived"
+            """
+        )
+        assert codes(found) == ["REPRO401"]
+        assert "Middle.estimate takes no defaulted start keyword" in found[0].message
+
+    def test_start_keyword_contract_satisfied(self, lint_estimator):
         assert lint_estimator(
             """
             @register()
             class Vardi(Estimator):
                 name = "vardi"
 
-                def estimate(self, problem):
+                def estimate(self, problem, *, start=None):
                     return problem
-
-                def set_warm_start(self, vector):
-                    self._start = vector
             """
         ) == []
 

@@ -6,24 +6,20 @@ method sets by *name* — which also means a registered class that quietly
 drops part of the :class:`~repro.estimation.base.Estimator` surface fails
 at a distance: a missing ``estimate`` only explodes inside a sweep, an
 incompatible ``estimate_series`` override silently falls out of the
-batched path, and a removed ``set_warm_start`` turns the warm-started
-series and streaming paths off without any test noticing (the generic
-series loop probes it with ``getattr``).
+batched path, and an ``estimate`` without the ``start`` keyword breaks the
+generic series loop and the streaming daemon, which both pass one.
 
 For every class decorated with ``@register(...)`` the rule checks, across
 all scanned files (inheritance is resolved project-wide by class name):
 
 * a concrete (non-``abstractmethod``) ``estimate`` exists in the class or
   an ancestor, with an ``(self, problem)``-compatible signature;
+* that ``estimate`` accepts a defaulted ``start`` keyword (the warm
+  start, ``estimate(problem, *, start=None)``);
 * ``estimate_series`` is either inherited from the generic batched
   fallback or overridden with a compatible ``(self, problem)`` signature;
-* ``set_warm_start``, where defined, takes exactly one required argument
-  (the previous snapshot's vector);
 * the class carries a registry ``name`` (a ``name = "..."`` class
-  attribute or an explicit ``@register("...")`` argument);
-* estimators registered under a name in :data:`WARM_START_CONTRACTS`
-  (the methods the README advertises as warm-started) define or inherit
-  ``set_warm_start``.
+  attribute or an explicit ``@register("...")`` argument).
 
 Signature compatibility means: exactly one required positional parameter
 besides ``self``; any extra parameters must carry defaults (so the
@@ -39,16 +35,10 @@ from typing import Iterator, Optional
 from reprolint.astutil import dotted_name
 from reprolint.engine import Diagnostic, ProjectContext
 
-__all__ = ["RULE", "WARM_START_CONTRACTS"]
-
-#: Registry names that consume a warm start (README "Batched series
-#: estimation" section): the generic series loop and the streaming
-#: ``update`` path feed each snapshot's solution to the next solve for
-#: these methods — Kruithof's incremental IPF and the Vardi QP.
-WARM_START_CONTRACTS = {"kruithof", "vardi"}
+__all__ = ["RULE"]
 
 #: Methods whose overrides must stay call-compatible with the base class.
-SINGLE_ARGUMENT_METHODS = ("estimate", "estimate_series", "set_warm_start")
+SINGLE_ARGUMENT_METHODS = ("estimate", "estimate_series")
 
 
 @dataclass
@@ -61,7 +51,6 @@ class _ClassInfo:
     methods: dict[str, ast.FunctionDef] = field(default_factory=dict)
     abstract_methods: set[str] = field(default_factory=set)
     class_attributes: set[str] = field(default_factory=set)
-    name_literal: Optional[str] = None
     registered_name: Optional[str] = None
     is_registered: bool = False
 
@@ -71,7 +60,7 @@ class _RegistryContractsRule:
     code = "REPRO401"
     description = (
         "every @register()'d estimator defines the advertised API surface "
-        "(estimate / estimate_series / set_warm_start) with compatible signatures"
+        "(estimate with a start keyword / estimate_series) with compatible signatures"
     )
 
     def check_project(self, project: ProjectContext) -> Iterator[Diagnostic]:
@@ -108,12 +97,6 @@ class _RegistryContractsRule:
                         for target in statement.targets:
                             if isinstance(target, ast.Name):
                                 info.class_attributes.add(target.id)
-                                if (
-                                    target.id == "name"
-                                    and isinstance(statement.value, ast.Constant)
-                                    and isinstance(statement.value.value, str)
-                                ):
-                                    info.name_literal = statement.value.value
                     elif isinstance(statement, ast.AnnAssign) and isinstance(
                         statement.target, ast.Name
                     ):
@@ -182,7 +165,16 @@ class _RegistryContractsRule:
                 info,
                 f"registered estimator {info.name} has no concrete estimate() "
                 "implementation — the registry contract requires "
-                "estimate(self, problem)",
+                "estimate(self, problem, *, start=None)",
+            )
+        elif not self._accepts_start(method):
+            yield self._diagnostic(
+                info,
+                f"{owner.name}.estimate takes no defaulted start keyword: the "
+                "series loop and the streaming daemon call "
+                "estimate(problem, start=...)",
+                line=method.lineno if owner is info else None,
+                column=method.col_offset + 1 if owner is info else None,
             )
 
         for method_name in SINGLE_ARGUMENT_METHODS:
@@ -208,25 +200,16 @@ class _RegistryContractsRule:
                     "name = \"...\" class attribute or pass @register(\"...\")",
                 )
 
-        effective_name = registry_name or self._literal_name(chain)
-        if effective_name in WARM_START_CONTRACTS:
-            _, warm, _ = self._find_method(chain, "set_warm_start")
-            if warm is None:
-                yield self._diagnostic(
-                    info,
-                    f"estimator {effective_name!r} is advertised as warm-startable "
-                    "(README batched-series contract) but defines no "
-                    "set_warm_start(vector)",
-                )
-
     @staticmethod
-    def _literal_name(chain: list[_ClassInfo]) -> Optional[str]:
-        # The registry reads the ``name`` class attribute; recover it when it
-        # is a plain string literal on the class (or an ancestor).
-        for info in chain:
-            if info.name_literal is not None:
-                return info.name_literal
-        return None
+    def _accepts_start(method: ast.FunctionDef) -> bool:
+        """Whether ``method`` has a ``start`` parameter with a default."""
+        args = method.args
+        for keyword, default in zip(args.kwonlyargs, args.kw_defaults):
+            if keyword.arg == "start":
+                return default is not None
+        positional = list(args.posonlyargs) + list(args.args)
+        defaulted = positional[len(positional) - len(args.defaults) :]
+        return any(arg.arg == "start" for arg in defaulted)
 
     def _signature_problem(self, method: ast.FunctionDef) -> Optional[str]:
         args = method.args
