@@ -144,8 +144,9 @@ def records_agree(legacy, new_records, tolerance=1e-3):
     worst = 0.0
     for old, new in zip(legacy, new_records):
         assert old[0] == new.scenario and old[1] == new.method
-        assert old[2] == new.jitter_std_seconds and old[3] == new.loss_probability
-        assert bool(old[5]) == bool(new.error), (old, new)
+        assert old[2] == new.parameters["jitter_std_seconds"]
+        assert old[3] == new.parameters["loss_probability"]
+        assert bool(old[5]) == new.skipped, (old, new)
         if not old[5]:
             if math.isnan(old[4]):
                 assert math.isnan(new.mre)
@@ -185,9 +186,8 @@ def main() -> dict:
     assert len(parallel_records) == len(serial_records)
     for a, b in zip(serial_records, parallel_records):
         assert a.scenario == b.scenario and a.method == b.method
-        assert a.jitter_std_seconds == b.jitter_std_seconds
-        assert a.loss_probability == b.loss_probability
-        assert a.error == b.error
+        assert a.parameters == b.parameters
+        assert a.failure == b.failure
         assert (math.isnan(a.mre) and math.isnan(b.mre)) or a.mre == b.mre
 
     print("[experiment engine] legacy serial grid (cold L-BFGS-B loops) ...")

@@ -29,6 +29,7 @@ import os
 import warnings
 
 from repro.datasets import small_scenario
+from repro.evaluation import method_sweep
 from repro.resilience import (
     ClockSkew,
     CollectorOutage,
@@ -67,7 +68,8 @@ def main() -> None:
     print("3. Sweeping estimators over the damaged archive (budget-starved entropy)...")
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always", RuntimeWarning)
-        records = measured.sweep(
+        records = method_sweep(
+            measured,
             methods=[
                 "gravity",
                 "tomogravity",

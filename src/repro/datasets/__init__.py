@@ -16,12 +16,11 @@ from repro.datasets.backbone import (
     large_scenario,
     small_scenario,
 )
-from repro.datasets.scenarios import MeasuredScenario, Scenario, SweepRecord
+from repro.datasets.scenarios import MeasuredScenario, Scenario
 
 __all__ = [
     "Scenario",
     "MeasuredScenario",
-    "SweepRecord",
     "europe_scenario",
     "america_scenario",
     "abilene_scenario",

@@ -16,7 +16,7 @@ Adding a new estimator therefore takes three steps: subclass
 registration runs.  Nothing in the experiment runners needs to change; the
 new method automatically shows up in :func:`available_estimators`,
 :func:`repro.evaluation.experiments.method_comparison` (via custom specs)
-and :meth:`repro.datasets.scenarios.Scenario.sweep`.
+and :func:`repro.evaluation.experiments.method_sweep`.
 """
 
 from __future__ import annotations

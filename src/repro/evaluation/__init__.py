@@ -4,19 +4,20 @@
   threshold rule, RMSE and ranking correlation;
 * :mod:`~repro.evaluation.figures` — one data-series generator per figure of
   the paper;
-* :mod:`~repro.evaluation.experiments` — Table 1 / Table 2 runners, the
-  measurement-noise robustness sweep, and the record containers used by the
-  benchmark harness.
+* :mod:`~repro.evaluation.experiments` — the one evaluation engine
+  (:func:`~repro.evaluation.experiments.estimate_method_specs`) and the
+  runners built on it: Table 1 / Table 2, the per-snapshot method sweep,
+  the measurement-noise robustness sweep, and their one MRE record.
 """
 
 from repro.evaluation.experiments import (
     ExperimentRecord,
     MethodSpec,
-    RobustnessRecord,
     SpecEstimate,
     default_method_specs,
     estimate_method_specs,
     method_comparison,
+    method_sweep,
     robustness_sweep,
     robustness_table,
     run_method_specs,
@@ -46,7 +47,7 @@ __all__ = [
     "vardi_table",
     "method_comparison",
     "summary_table",
-    "RobustnessRecord",
+    "method_sweep",
     "robustness_sweep",
     "robustness_table",
 ]

@@ -4,34 +4,40 @@
   on the busy-period series (K = 50 samples);
 * :func:`method_comparison` / :func:`summary_table` — Table 2: the best MRE
   achieved by every method on a scenario;
+* :func:`method_sweep` — every registered method (or a chosen subset) run
+  through its batched ``estimate_series`` path on the busy-period series,
+  scored per snapshot and on the window mean;
 * :func:`robustness_sweep` / :func:`robustness_table` — noise-robustness
   study: the MRE of every registered method as a function of SNMP jitter
   and UDP loss, on measured-data scenarios built with
   :meth:`~repro.datasets.scenarios.Scenario.measured`;
-* :class:`ExperimentRecord` — a small result container used by the
-  benchmark harness and by EXPERIMENTS.md generation.
+* :class:`ExperimentRecord` — the one MRE row every runner returns.
 
 The runners are data-driven: a :class:`MethodSpec` names an estimator from
 the registry (:mod:`repro.estimation.registry`), its constructor
-parameters, and the data it consumes (snapshot or series window), so a new
-estimation method — or a new experiment layout — composes by building a
-spec list instead of editing the runner.  :func:`default_method_specs`
-reproduces the paper's Table 2 configuration.  The runners consume the
-scenario's ``snapshot_problem()`` / ``series_problem()`` accessors, so they
+parameters, and the data it consumes (snapshot, series window, or the
+window estimated snapshot by snapshot), so a new estimation method — or a
+new experiment layout — composes by building a spec list instead of
+editing the runner.  :func:`default_method_specs` reproduces the paper's
+Table 2 configuration.  :func:`estimate_method_specs` is the one engine:
+it builds the problems, constructs the estimators and records their
+failures for every runner here and for
+:func:`repro.planning.sweep.failure_sweep`.  It consumes the scenario's
+``snapshot_problem()`` / ``series_problem()`` accessors, so the runners
 work unchanged on both consistent and measured scenarios.
 
-Every runner takes an ``n_jobs`` parameter: the scenario problems are
-built **once** in the parent process and the independent units of work —
-method specs grouped into dependency waves for :func:`run_method_specs`,
+Runners with an ``n_jobs`` parameter build the scenario problems **once**
+in the parent process and fan the independent units of work — method
+specs grouped into dependency waves for :func:`run_method_specs`,
 ``(scenario, jitter, loss)`` grid cells for :func:`robustness_sweep` —
-are fanned out over a process pool.  ``n_jobs=1`` (the default) runs the
-exact serial loop; parallel runs return records identical to it, in the
-same order.
+out through :func:`repro.parallel.run_supervised_tasks`, which runs them
+in the parent at ``n_jobs=1`` (the default); parallel runs return records
+identical to it, in the same order.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Any, Mapping, Optional, Sequence, Union
 
 import numpy as np
@@ -39,7 +45,7 @@ import numpy as np
 from repro import telemetry
 from repro.datasets.scenarios import Scenario
 from repro.errors import EstimationError, SolverError
-from repro.estimation.registry import get_estimator
+from repro.estimation.registry import available_estimators, get_estimator
 from repro.evaluation.metrics import mean_relative_error
 from repro.parallel import (
     effective_jobs,
@@ -49,7 +55,7 @@ from repro.parallel import (
     share_payload,
 )
 from repro.resilience.report import FailureReason
-from repro.traffic.matrix import TrafficMatrix
+from repro.traffic.matrix import TrafficMatrix, TrafficMatrixSeries
 
 __all__ = [
     "ExperimentRecord",
@@ -61,7 +67,7 @@ __all__ = [
     "vardi_table",
     "method_comparison",
     "summary_table",
-    "RobustnessRecord",
+    "method_sweep",
     "robustness_sweep",
     "robustness_table",
 ]
@@ -76,11 +82,14 @@ class ExperimentRecord:
     scenario:
         Scenario name (``"europe"`` / ``"america"`` / ``"abilene"`` / ...).
     method:
-        Method label as it appears in the paper's Table 2.
+        Method label as it appears in the paper's Table 2 (the registry
+        name for :func:`method_sweep` rows).
     mre:
         Mean relative error achieved (``NaN`` when the method was skipped).
     parameters:
-        Free-form parameter description (regularisation value, window, ...).
+        Free-form parameter description (regularisation value, window,
+        and for :func:`robustness_sweep` rows ``jitter_std_seconds`` and
+        ``loss_probability``).
     failure:
         Structured reason the method was skipped (``None`` when it ran);
         only populated under ``skip_errors``.
@@ -88,6 +97,9 @@ class ExperimentRecord:
         The :class:`~repro.resilience.report.DegradationReport` dict the
         estimator attached to its diagnostics (supervised methods),
         ``None`` for a clean run.
+    per_snapshot_mre:
+        MRE of each snapshot's estimate against that snapshot's truth
+        (``"per-snapshot"`` specs that ran; empty otherwise).
     """
 
     scenario: str
@@ -96,6 +108,7 @@ class ExperimentRecord:
     parameters: dict[str, float] = field(default_factory=dict)
     failure: Optional[FailureReason] = None
     degradation: Optional[dict] = None
+    per_snapshot_mre: tuple[float, ...] = ()
 
     @property
     def skipped(self) -> bool:
@@ -118,9 +131,11 @@ class MethodSpec:
         :func:`repro.estimation.registry.get_estimator`.
     data:
         ``"snapshot"`` — estimate the busy-period mean from one consistent
-        snapshot; ``"series"`` — estimate from a link-load series window.
+        snapshot; ``"series"`` — estimate from a link-load series window;
+        ``"per-snapshot"`` — run ``estimate_series`` over the series window
+        and score every snapshot's estimate as well as their mean.
     window:
-        Series window length (``data="series"`` only; clamped to the busy
+        Series window length (series kinds only; clamped to the busy
         period).
     prior_from:
         Label of an earlier spec whose estimate vector is passed as this
@@ -136,9 +151,9 @@ class MethodSpec:
     prior_from: Optional[str] = None
 
     def __post_init__(self) -> None:
-        if self.data not in ("snapshot", "series"):
+        if self.data not in ("snapshot", "series", "per-snapshot"):
             raise EstimationError(f"unknown method-spec data kind {self.data!r}")
-        if self.data == "series" and self.window is not None and self.window < 1:
+        if self.data != "snapshot" and self.window is not None and self.window < 1:
             raise EstimationError("series window must be at least 1")
 
 
@@ -223,91 +238,74 @@ def _build_estimator(spec: MethodSpec, prior: Optional[np.ndarray]):
     return get_estimator(spec.estimator, **params)
 
 
-def _evaluate_spec(spec: MethodSpec, problem: Any, prior: Optional[np.ndarray]) -> np.ndarray:
-    """Instantiate and run one spec; module-level so the pool can pickle it."""
-    return _build_estimator(spec, prior).estimate(problem).vector
-
-
 @dataclass(frozen=True)
 class _SpecOutcome:
     """Internal result of one guarded spec evaluation (picklable).
 
-    ``vector`` is ``None`` exactly when ``failure`` is set; ``degradation``
-    carries the estimator's own degradation-report dict when the method ran
-    but had to fall back internally (supervised estimators).
+    ``vector`` is the point estimate (the mean of the per-snapshot estimates
+    for ``"per-snapshot"`` specs, which also carry them as the ``(K, P)``
+    array ``snapshots``); it is ``None`` exactly when ``failure`` is set.
+    ``degradation`` carries the estimator's own degradation-report dict
+    when the method ran but had to fall back internally (supervised
+    estimators).
     """
 
     vector: Optional[np.ndarray]
+    snapshots: Optional[np.ndarray] = None
     failure: Optional[FailureReason] = None
     degradation: Optional[dict] = None
 
 
-def _evaluate_spec_guarded(
-    spec: MethodSpec, problem: Any, prior: Optional[np.ndarray], skip_errors: bool
+def _evaluate_spec(
+    spec: MethodSpec, problems_ref: Any, window: Optional[int],
+    prior: Optional[np.ndarray], skip_errors: bool,
 ) -> _SpecOutcome:
-    """One spec evaluation inside an ``experiment.spec`` stage span."""
-    with telemetry.span("experiment.spec", spec=spec.label):
-        return _evaluate_spec_impl(spec, problem, prior, skip_errors)
+    """One spec evaluation, inside an ``experiment.spec`` stage span.
 
-
-def _evaluate_spec_impl(
-    spec: MethodSpec, problem: Any, prior: Optional[np.ndarray], skip_errors: bool
-) -> _SpecOutcome:
-    """One spec evaluation as a structured :class:`_SpecOutcome`.
+    The task entry point of :func:`estimate_method_specs`: the shared
+    problems arrive as a :func:`repro.parallel.share_payload` reference
+    keyed by series window (``None`` for the snapshot problem), so fork
+    workers inherit them without pickling anything and spawn workers
+    receive them once per worker — never once per spec.
 
     With ``skip_errors`` an estimation or solver failure becomes an outcome
     carrying a :class:`~repro.resilience.report.FailureReason` (exception
     type, message, spec, stage) instead of propagating, so sweeps can
     record *why* the method was skipped; without it the exception passes
-    through unchanged (the historical contract of
-    :func:`run_method_specs`).  A ``TypeError`` is only absorbed at
-    construction time (params that do not fit the estimator's signature,
-    the same rule ``Scenario.sweep`` applies); one raised *during*
-    estimation is a bug and always propagates.
+    through unchanged.  A ``TypeError`` is only absorbed at construction
+    time (params that do not fit the estimator's signature); one raised
+    *during* estimation is a bug and always propagates.
     """
-    if not skip_errors:
-        result = _build_estimator(spec, prior).estimate(problem)
-        return _SpecOutcome(
-            vector=result.vector,
-            degradation=result.diagnostics.get("degradation"),
-        )
-    try:
-        estimator = _build_estimator(spec, prior)
-    except (EstimationError, TypeError) as exc:
-        return _SpecOutcome(
-            vector=None,
-            failure=FailureReason.from_exception(
-                exc, spec=spec.label, stage="construct"
-            ),
-        )
-    try:
-        result = estimator.estimate(problem)
-    except (EstimationError, SolverError) as exc:
-        return _SpecOutcome(
-            vector=None,
-            failure=FailureReason.from_exception(
-                exc, spec=spec.label, stage="estimate"
-            ),
-        )
+    problem = resolve_payload(problems_ref)[window]
+    with telemetry.span("experiment.spec", spec=spec.label):
+        try:
+            estimator = _build_estimator(spec, prior)
+        except (EstimationError, TypeError) as exc:
+            if not skip_errors:
+                raise
+            return _SpecOutcome(
+                vector=None,
+                failure=FailureReason.from_exception(exc, spec=spec.label, stage="construct"),
+            )
+        try:
+            if spec.data == "per-snapshot":
+                result = estimator.estimate_series(problem)
+                snapshots, vector = result.estimates, result.estimates.mean(axis=0)
+            else:
+                result = estimator.estimate(problem)
+                snapshots, vector = None, result.vector
+        except (EstimationError, SolverError) as exc:
+            if not skip_errors:
+                raise
+            return _SpecOutcome(
+                vector=None,
+                failure=FailureReason.from_exception(exc, spec=spec.label, stage="estimate"),
+            )
     return _SpecOutcome(
-        vector=result.vector,
+        vector=vector,
+        snapshots=snapshots,
         degradation=result.diagnostics.get("degradation"),
     )
-
-
-def _evaluate_spec_pooled(
-    spec: MethodSpec, problems_ref: Any, problem_key: Any, prior: Optional[np.ndarray],
-    skip_errors: bool,
-) -> _SpecOutcome:
-    """Pool entry point: the shared problems arrive as a shared-payload ref.
-
-    The problems (each carrying its routing matrix) are registered once via
-    :func:`repro.parallel.share_payload`: fork workers inherit them without
-    pickling anything, spawn workers receive them once per worker through
-    the executor initializer — never once per spec.
-    """
-    problems = resolve_payload(problems_ref)
-    return _evaluate_spec_guarded(spec, problems[problem_key], prior, skip_errors)
 
 
 @dataclass(frozen=True)
@@ -319,15 +317,14 @@ class SpecEstimate:
     spec:
         The evaluated :class:`MethodSpec`.
     estimate:
-        The estimated traffic matrix, or ``None`` when the spec was skipped.
+        The estimated traffic matrix (the mean of the per-snapshot
+        estimates for ``"per-snapshot"`` specs), or ``None`` when the spec
+        was skipped.
     truth:
         The ground truth matching the spec's data kind (busy-period mean for
-        snapshot specs, window mean for series specs).
+        snapshot specs, window mean for the series kinds).
     window:
         Effective series window, ``None`` for snapshot specs.
-    error:
-        Human-readable reason the spec was skipped (empty when it ran);
-        kept alongside ``failure`` for backward compatibility.
     failure:
         Structured :class:`~repro.resilience.report.FailureReason`
         (exception type, message, spec label, pipeline stage), ``None``
@@ -335,15 +332,19 @@ class SpecEstimate:
     degradation:
         The degradation-report dict the estimator attached to its
         diagnostics (supervised methods), ``None`` for a clean run.
+    snapshots, snapshot_truths:
+        Per-snapshot estimates and the true snapshots they are scored
+        against (``"per-snapshot"`` specs that ran; empty otherwise).
     """
 
     spec: MethodSpec
     estimate: Optional[TrafficMatrix]
     truth: TrafficMatrix
     window: Optional[int]
-    error: str = ""
     failure: Optional[FailureReason] = None
     degradation: Optional[dict] = None
+    snapshots: tuple[TrafficMatrix, ...] = ()
+    snapshot_truths: tuple[TrafficMatrix, ...] = ()
 
     @property
     def label(self) -> str:
@@ -353,7 +354,7 @@ class SpecEstimate:
     @property
     def skipped(self) -> bool:
         """Whether the spec could not run."""
-        return self.estimate is None
+        return self.failure is not None
 
 
 def estimate_method_specs(
@@ -366,22 +367,22 @@ def estimate_method_specs(
 ) -> list[SpecEstimate]:
     """Evaluate method specs into estimate matrices (the shared spec engine).
 
-    This is the machinery behind :func:`run_method_specs` and the planning
-    layer's :func:`repro.planning.sweep.failure_sweep`: snapshot specs share
-    one consistent snapshot problem, series specs share one series problem
-    per distinct window, and ``prior_from`` references resolve against
-    earlier specs in the list.
+    This is the machinery behind every runner of this module and the
+    planning layer's :func:`repro.planning.sweep.failure_sweep`: snapshot
+    specs share one snapshot problem, series and per-snapshot specs share
+    one series problem per distinct window, and ``prior_from`` references
+    resolve against earlier specs in the list.
 
-    With ``n_jobs > 1`` (or ``None`` for all cores) the shared problems are
-    still built exactly once, and the specs are evaluated concurrently in
-    dependency waves: every spec whose ``prior_from`` estimate is already
-    available runs in the current wave, so independent specs never wait on
-    each other.  Each wave runs through
-    :func:`repro.parallel.run_supervised_tasks`, so a worker crash or a
-    task exceeding ``task_timeout`` seconds is resubmitted (up to
-    ``max_resubmissions`` times) and finally re-executed serially instead
-    of aborting the batch.  The results — values and order — are identical
-    to the serial run.
+    The shared problems are built exactly once, and the specs are
+    evaluated in dependency waves: every spec whose ``prior_from`` estimate
+    is already available runs in the current wave, so independent specs
+    never wait on each other.  Each wave runs through
+    :func:`repro.parallel.run_supervised_tasks` — in the parent at
+    ``n_jobs=1``, on a process pool otherwise (``None`` for all cores) — so
+    a worker crash or a task exceeding ``task_timeout`` seconds is
+    resubmitted (up to ``max_resubmissions`` times) and finally re-executed
+    serially instead of aborting the batch.  The results — values and
+    order — do not depend on ``n_jobs``.
 
     With ``skip_errors`` a failing spec yields a ``SpecEstimate`` whose
     ``estimate`` is ``None`` and whose ``failure`` carries the structured
@@ -415,37 +416,28 @@ def _estimate_method_specs_impl(
                 f"spec {spec.label!r} references {spec.prior_from!r}, "
                 "which has not run yet"
             )
-        # The serial loop resolves a label to its most recent earlier run.
+        # A label resolves to its most recent earlier spec.
         prior_source[position] = earlier[-1]
 
-    snapshot_truth = scenario.busy_mean_matrix()
-    snapshot_problem = None
-    series_cache: dict[int, tuple[Any, Any]] = {}
-
-    def resolve_data(spec: MethodSpec) -> tuple[Any, Any, Optional[int]]:
-        nonlocal snapshot_problem
-        if spec.data == "snapshot":
-            if snapshot_problem is None:
-                # The default problem is built from the scenario's busy-period
-                # data (measured scenarios substitute the polled counters);
-                # the truth stays the true busy-period mean either way.
-                snapshot_problem = scenario.snapshot_problem()
-            return snapshot_problem, snapshot_truth, None
-        window = _spec_window(spec, scenario)
-        if window not in series_cache:
-            series_cache[window] = (
-                scenario.series_problem(window_length=window),
-                scenario.busy_series().window(0, window).mean_matrix(),
-            )
-        problem, truth = series_cache[window]
-        return problem, truth, window
-
-    def problem_key(spec: MethodSpec) -> tuple[str, Optional[int]]:
-        return (spec.data, _spec_window(spec, scenario))
+    # One problem and truth per window (``None``: the busy-period snapshot).
+    # Snapshot problems come from the scenario's busy-period data (measured
+    # scenarios substitute the polled counters); the truth stays the true
+    # busy-period series either way.
+    windows = [_spec_window(spec, scenario) for spec in specs]
+    problems: dict[Optional[int], Any] = {}
+    truth_series: dict[int, TrafficMatrixSeries] = {}
+    truths: dict[Optional[int], TrafficMatrix] = {}
+    for window in dict.fromkeys(windows):
+        if window is None:
+            problems[None] = scenario.snapshot_problem()
+            truths[None] = scenario.busy_mean_matrix()
+        else:
+            problems[window] = scenario.series_problem(window_length=window)
+            truth_series[window] = scenario.busy_series().window(0, window)
+            truths[window] = truth_series[window].mean_matrix()
 
     def skipped_prior(position: int) -> _SpecOutcome:
-        source = prior_source[position]
-        source_failure = results[source].failure
+        source_failure = results[prior_source[position]].failure
         return _SpecOutcome(
             vector=None,
             failure=FailureReason(
@@ -461,83 +453,70 @@ def _estimate_method_specs_impl(
 
     results: dict[int, _SpecOutcome] = {}
     jobs = effective_jobs(n_jobs, len(specs), error=EstimationError)
-    if jobs == 1:
-        for position, spec in enumerate(specs):
-            problem, _, _ = resolve_data(spec)
-            prior = None
-            if position in prior_source:
-                prior = results[prior_source[position]].vector
-                if prior is None:
-                    results[position] = skipped_prior(position)
-                    continue
-            results[position] = _evaluate_spec_guarded(spec, problem, prior, skip_errors)
-    else:
-        # The shared problems travel as one payload reference: fork workers
-        # inherit them copy-on-write, spawn workers receive them once per
-        # worker; waves then submit only the spec, a problem key and the
-        # prior vector.
-        shared_problems = {problem_key(spec): resolve_data(spec)[0] for spec in specs}
-        problems_ref = share_payload(shared_problems)
-        pending = list(range(len(specs)))
-        try:
-            while pending:
-                wave = [
-                    position
-                    for position in pending
-                    if prior_source.get(position, -1) in results
-                    or position not in prior_source
-                ]
-                runnable: list[int] = []
-                wave_priors: dict[int, Optional[np.ndarray]] = {}
-                for position in wave:
-                    prior = None
-                    if position in prior_source:
-                        prior = results[prior_source[position]].vector
-                        if prior is None:
-                            results[position] = skipped_prior(position)
-                            continue
-                    wave_priors[position] = prior
-                    runnable.append(position)
-                if runnable:
-                    wave_results, _pool_report = run_supervised_tasks(
-                        _evaluate_spec_pooled,
-                        [
-                            (
-                                specs[position],
-                                problems_ref,
-                                problem_key(specs[position]),
-                                wave_priors[position],
-                                skip_errors,
-                            )
-                            for position in runnable
-                        ],
-                        jobs=jobs,
-                        timeout=task_timeout,
-                        max_resubmissions=max_resubmissions,
+    problems_ref = share_payload(problems)
+    pending = list(range(len(specs)))
+    try:
+        while pending:
+            wave = [
+                position
+                for position in pending
+                if prior_source.get(position, -1) in results
+                or position not in prior_source
+            ]
+            runnable: list[int] = []
+            wave_priors: dict[int, Optional[np.ndarray]] = {}
+            for position in wave:
+                prior = None
+                if position in prior_source:
+                    prior = results[prior_source[position]].vector
+                    if prior is None:
+                        results[position] = skipped_prior(position)
+                        continue
+                wave_priors[position] = prior
+                runnable.append(position)
+            wave_results, _pool_report = run_supervised_tasks(
+                _evaluate_spec,
+                [
+                    (
+                        specs[position],
+                        problems_ref,
+                        windows[position],
+                        wave_priors[position],
+                        skip_errors,
                     )
-                    for position, outcome in zip(runnable, wave_results):
-                        results[position] = outcome
-                pending = [position for position in pending if position not in wave]
-        finally:
-            release_payload(problems_ref)
+                    for position in runnable
+                ],
+                jobs=jobs,
+                timeout=task_timeout,
+                max_resubmissions=max_resubmissions,
+            )
+            results.update(zip(runnable, wave_results))
+            pending = [position for position in pending if position not in wave]
+    finally:
+        release_payload(problems_ref)
 
     estimates: list[SpecEstimate] = []
     for position, spec in enumerate(specs):
-        problem, truth, window = resolve_data(spec)
+        window = windows[position]
+        pairs = problems[window].pairs
         outcome = results[position]
+        snapshots: tuple[TrafficMatrix, ...] = ()
+        snapshot_truths: tuple[TrafficMatrix, ...] = ()
+        if outcome.snapshots is not None:
+            snapshots = tuple(TrafficMatrix(pairs, row) for row in outcome.snapshots)
+            snapshot_truths = tuple(truth_series[window])
         estimates.append(
             SpecEstimate(
                 spec=spec,
                 estimate=(
-                    None
-                    if outcome.vector is None
-                    else TrafficMatrix(problem.pairs, outcome.vector)
+                    None if outcome.vector is None else TrafficMatrix(pairs, outcome.vector)
                 ),
-                truth=truth,
+                truth=truths[window],
                 window=window,
-                error=outcome.failure.describe() if outcome.failure else "",
                 failure=outcome.failure,
                 degradation=outcome.degradation,
+                snapshots=snapshots,
+                snapshot_truths=snapshot_truths,
             )
         )
     return estimates
@@ -558,29 +537,31 @@ def run_method_specs(
     ``skip_errors`` a failing spec becomes a record with ``NaN`` MRE and a
     structured ``failure`` instead of raising.
     """
-    records: list[ExperimentRecord] = []
-    for result in estimate_method_specs(
-        scenario,
-        specs,
-        n_jobs=n_jobs,
-        skip_errors=skip_errors,
-        task_timeout=task_timeout,
-    ):
-        records.append(
-            ExperimentRecord(
-                scenario=scenario.name,
-                method=result.label,
-                mre=(
-                    float("nan")
-                    if result.skipped
-                    else mean_relative_error(result.estimate, result.truth)
-                ),
-                parameters=_recorded_parameters(result.spec, result.window),
-                failure=result.failure,
-                degradation=result.degradation,
-            )
+    return [
+        ExperimentRecord(
+            scenario=scenario.name,
+            method=result.label,
+            mre=(
+                float("nan")
+                if result.skipped
+                else mean_relative_error(result.estimate, result.truth)
+            ),
+            parameters=_recorded_parameters(result.spec, result.window),
+            failure=result.failure,
+            degradation=result.degradation,
+            per_snapshot_mre=tuple(
+                mean_relative_error(estimate, truth)
+                for estimate, truth in zip(result.snapshots, result.snapshot_truths)
+            ),
         )
-    return records
+        for result in estimate_method_specs(
+            scenario,
+            specs,
+            n_jobs=n_jobs,
+            skip_errors=skip_errors,
+            task_timeout=task_timeout,
+        )
+    ]
 
 
 def vardi_table(
@@ -640,45 +621,53 @@ def summary_table(records: Sequence[ExperimentRecord]) -> dict[str, dict[str, fl
     return table
 
 
-@dataclass(frozen=True)
-class RobustnessRecord:
-    """MRE of one method on one scenario at one measurement-noise level.
+def method_sweep(
+    scenario: Scenario,
+    methods: Optional[Sequence[Union[str, tuple[str, Mapping]]]] = None,
+    window_length: Optional[int] = None,
+    skip_errors: bool = True,
+) -> list[ExperimentRecord]:
+    """Score estimation methods over the busy-period series.
 
-    Attributes
+    Every method runs through its batched
+    :meth:`~repro.estimation.base.Estimator.estimate_series` path on one
+    shared series problem (a ``"per-snapshot"`` :class:`MethodSpec` each)
+    and is scored against the per-snapshot ground truth
+    (``per_snapshot_mre``) and on the window mean (``mre``), so new methods
+    added to the registry are picked up without touching any runner code.
+
+    Parameters
     ----------
     scenario:
-        Scenario name.
-    method:
-        Registry name of the estimation method.
-    jitter_std_seconds:
-        SNMP response-jitter standard deviation of the collection run.
-    loss_probability:
-        Per-poll UDP loss probability of the collection run.
-    mre:
-        Mean relative error of the method's mean estimate against the true
-        busy-window mean (``NaN`` when the method was skipped).
-    error:
-        Why the method was skipped (empty when it ran).
-    failure:
-        Structured skip reason (``None`` when the method ran).
-    degradation:
-        Degradation-report dict from the method's diagnostics
-        (supervised methods), ``None`` for a clean run.
+        The scenario; a measured view scores its measured data against the
+        true series.
+    methods:
+        Method names (or ``(name, params)`` tuples) to run; defaults to
+        every registered estimator.  Each record's ``method`` is the
+        registry name.
+    window_length:
+        Truncate the busy-period series to this many snapshots (clamped
+        to the busy period, like every spec window).
+    skip_errors:
+        When ``True`` (default), methods that cannot run on this
+        scenario's observables (or need constructor arguments) are
+        reported as skipped records instead of raising.
     """
-
-    scenario: str
-    method: str
-    jitter_std_seconds: float
-    loss_probability: float
-    mre: float
-    error: str = ""
-    failure: Optional[FailureReason] = None
-    degradation: Optional[dict] = None
-
-    @property
-    def skipped(self) -> bool:
-        """Whether the method could not run at this noise level."""
-        return bool(self.error)
+    if methods is None:
+        methods = available_estimators()
+    specs = []
+    for entry in methods:
+        name, params = entry if isinstance(entry, tuple) else (entry, {})
+        specs.append(
+            MethodSpec(
+                label=name,
+                estimator=name,
+                params=dict(params),
+                data="per-snapshot",
+                window=window_length,
+            )
+        )
+    return run_method_specs(scenario, specs, skip_errors=skip_errors)
 
 
 def _robustness_cell(
@@ -692,66 +681,30 @@ def _robustness_cell(
     skip_errors: bool,
     fault_plan: Optional[Any] = None,
     counter_bits: int = 64,
-) -> list[RobustnessRecord]:
+) -> list[ExperimentRecord]:
     """One ``(scenario, jitter, loss)`` grid cell, as its own unit of work.
 
-    Module-level so a process pool can pickle it; the serial loop calls it
-    directly, which is what makes parallel and serial runs byte-identical.
+    Module-level so a process pool can pickle it; a serial run calls it in
+    the parent, which is what makes parallel and serial runs identical.
     """
     with telemetry.span(
         "robustness.cell", scenario=scenario.name, jitter=float(jitter), loss=float(loss)
     ):
-        return _robustness_cell_impl(
-            scenario,
-            jitter,
-            loss,
-            methods,
-            window_length,
-            num_pollers,
-            seed,
-            skip_errors,
-            fault_plan,
-            counter_bits,
-        )
-
-
-def _robustness_cell_impl(
-    scenario: Scenario,
-    jitter: float,
-    loss: float,
-    methods: Optional[Sequence[Union[str, tuple[str, Mapping]]]],
-    window_length: Optional[int],
-    num_pollers: int,
-    seed: Optional[int],
-    skip_errors: bool,
-    fault_plan: Optional[Any],
-    counter_bits: int,
-) -> list[RobustnessRecord]:
-    measured = scenario.measured(
-        jitter_std_seconds=float(jitter),
-        loss_probability=float(loss),
-        num_pollers=num_pollers,
-        seed=seed,
-        fault_plan=fault_plan,
-        counter_bits=counter_bits,
-    )
-    return [
-        RobustnessRecord(
-            scenario=scenario.name,
-            method=sweep_record.method,
+        measured = scenario.measured(
             jitter_std_seconds=float(jitter),
             loss_probability=float(loss),
-            mre=sweep_record.mre,
-            error=sweep_record.error,
-            failure=sweep_record.failure,
-            degradation=sweep_record.degradation,
+            num_pollers=num_pollers,
+            seed=seed,
+            fault_plan=fault_plan,
+            counter_bits=counter_bits,
         )
-        for sweep_record in measured.sweep(
-            methods=methods,
-            window_length=window_length,
-            skip_errors=skip_errors,
-        )
-    ]
+        noise = {"jitter_std_seconds": float(jitter), "loss_probability": float(loss)}
+        return [
+            replace(record, parameters={**record.parameters, **noise})
+            for record in method_sweep(
+                measured, methods=methods, window_length=window_length, skip_errors=skip_errors
+            )
+        ]
 
 
 def robustness_sweep(
@@ -768,14 +721,15 @@ def robustness_sweep(
     counter_bits: int = 64,
     task_timeout: Optional[float] = None,
     max_resubmissions: int = 1,
-) -> list[RobustnessRecord]:
+) -> list[ExperimentRecord]:
     """Score estimation methods on measured data across noise levels.
 
     For every scenario and every ``(jitter, loss)`` combination this builds
     a measured-data view with :meth:`~repro.datasets.scenarios.Scenario.measured`
     — running the full SNMP collection pipeline over the day series — and
-    sweeps the requested methods (default: every registered estimator) over
-    the measured busy window, scoring each against the *true* series.  The
+    runs :func:`method_sweep` over the measured busy window, scoring each
+    method against the *true* series.  Every record carries its cell's
+    ``jitter_std_seconds`` and ``loss_probability`` in ``parameters``.  The
     result quantifies how gracefully each method degrades as the link-load
     data becomes inconsistent, the sensitivity study the paper leaves open.
 
@@ -788,12 +742,12 @@ def robustness_sweep(
         jitter in seconds of response-time standard deviation, loss as the
         per-poll UDP loss probability).
     methods, window_length, skip_errors:
-        Forwarded to :meth:`~repro.datasets.scenarios.Scenario.sweep`.
+        Forwarded to :func:`method_sweep`.
     num_pollers, seed:
         Forwarded to the collection pipeline; the same seed is reused at
         every noise level so that grid cells differ only in the noise knobs.
     n_jobs:
-        Worker processes for the grid cells (``1`` = the serial loop,
+        Worker processes for the grid cells (``1`` = in the parent,
         ``None`` = all cores).  Every cell is independent — same seed, own
         collection run — so the parallel records are identical to the
         serial ones, in the same grid order.
@@ -843,12 +797,14 @@ def robustness_sweep(
 
 
 def robustness_table(
-    records: Sequence[RobustnessRecord],
+    records: Sequence[ExperimentRecord],
 ) -> dict[str, dict[str, dict[tuple[float, float], float]]]:
     """Arrange robustness records as ``{scenario: {method: {(jitter, loss): mre}}}``."""
     table: dict[str, dict[str, dict[tuple[float, float], float]]] = {}
     for record in records:
-        table.setdefault(record.scenario, {}).setdefault(record.method, {})[
-            (record.jitter_std_seconds, record.loss_probability)
-        ] = record.mre
+        cell = (
+            record.parameters["jitter_std_seconds"],
+            record.parameters["loss_probability"],
+        )
+        table.setdefault(record.scenario, {}).setdefault(record.method, {})[cell] = record.mre
     return table

@@ -19,6 +19,10 @@ This module models that pipeline for a single poller:
 * :class:`PollMatrix` — the dense ``(rounds, objects)`` outcome of a polling
   schedule (response times, counter values, loss mask), convertible to and
   from per-round :class:`PollResult` lists;
+* :func:`classify_counter_deltas` — the one counter-delta classifier:
+  modular deltas, degenerate/reset/wrap masks and the bytes-to-Mbit/s
+  rates, shared by the batch path below and the streaming
+  :class:`~repro.streaming.stream.CounterTracker`;
 * :func:`rates_from_poll_matrix` — turns consecutive poll rounds into the
   rate samples the estimation pipeline consumes, interpolating over lost
   polls and reporting :class:`RateDiagnostics` (how many samples were lost
@@ -41,12 +45,16 @@ __all__ = [
     "PollMatrix",
     "RateDiagnostics",
     "SNMPPoller",
+    "CounterDeltas",
+    "classify_counter_deltas",
     "rates_from_poll_matrix",
 ]
 
 _COUNTER64_WRAP = 2**64
 #: Bytes accumulated per second at 1 Mbit/s.
 _BYTES_PER_MBPS_SECOND = 1e6 / 8.0
+#: Mbit/s carried by one byte per second.
+_MBPS_PER_BYTE_SECOND = 8.0 / 1e6
 
 
 @dataclass
@@ -519,6 +527,68 @@ class SNMPPoller:
             polls = self.fault_plan.apply_to_polls(polls, salt=self.fault_salt)
         return polls
 
+
+@dataclass(frozen=True)
+class CounterDeltas:
+    """Classified counter differences between consecutive polls.
+
+    All arrays share the shape of the polled counters.  ``rates`` holds the
+    interval rate in Mbit/s where ``valid`` and ``NaN`` elsewhere; the
+    masks are disjoint subsets of the usable samples: ``degenerate`` (no
+    time elapsed), ``reset`` (a rebooted counter) and ``wrapped`` (a
+    legitimate wrap, counted but valid).
+    """
+
+    rates: np.ndarray
+    valid: np.ndarray
+    degenerate: np.ndarray
+    reset: np.ndarray
+    wrapped: np.ndarray
+
+
+def classify_counter_deltas(
+    previous: np.ndarray,
+    current: np.ndarray,
+    elapsed: np.ndarray,
+    usable: np.ndarray,
+    counter_bits: Union[int, np.ndarray],
+) -> CounterDeltas:
+    """Classify counter deltas and derive interval rates.
+
+    ``previous`` and ``current`` are ``uint64`` counter readings,
+    ``elapsed`` the seconds between their responses and ``usable`` the
+    samples where both polls answered; ``counter_bits`` is the counter
+    width, one value or one per object.  uint64 subtraction wraps modulo
+    ``2**64`` exactly like the Counter64 MIB; narrower counters (Counter32)
+    reduce the same difference modulo their own space, which recovers the
+    true delta across a legitimate wrap.  A backwards counter whose modular
+    delta exceeds half the counter space is a reset (reboot), not a wrap:
+    no plausible rate produces it in one interval, so the sample is
+    unusable.
+    """
+    bits = np.asarray(counter_bits, dtype=np.uint64)
+    deltas = current - previous
+    narrow = bits < np.uint64(64)
+    if narrow.any():
+        # The clamp only keeps the shift in range for 64-bit objects, whose
+        # reduced value ``np.where`` discards.
+        space = np.uint64(1) << np.minimum(bits, np.uint64(63))
+        deltas = np.where(narrow, deltas % space, deltas)
+    half_space = np.uint64(1) << (bits - np.uint64(1))
+
+    backwards = current < previous
+    degenerate = usable & (elapsed <= 0)
+    reset = usable & ~degenerate & backwards & (deltas > half_space)
+    wrapped = usable & ~degenerate & backwards & ~reset
+    valid = usable & ~degenerate & ~reset
+
+    rates = np.full(deltas.shape, np.nan)
+    rates[valid] = deltas[valid].astype(float) * _MBPS_PER_BYTE_SECOND / elapsed[valid]
+    return CounterDeltas(
+        rates=rates, valid=valid, degenerate=degenerate, reset=reset, wrapped=wrapped
+    )
+
+
 def rates_from_poll_matrix(
     polls: PollMatrix,
     max_interpolated_fraction: float = 1.0,
@@ -564,28 +634,15 @@ def rates_from_poll_matrix(
         raise MeasurementError("max_interpolated_fraction must lie in [0, 1]")
     num_intervals = polls.num_rounds - 1
 
-    # uint64 subtraction wraps modulo 2**64 exactly like the Counter64 MIB;
-    # narrower counters (Counter32) reduce the same difference modulo their
-    # own space, which recovers the true delta across a legitimate wrap.
-    deltas = polls.counters[1:] - polls.counters[:-1]
-    if polls.counter_bits < 64:
-        deltas = deltas % np.uint64(2**polls.counter_bits)
-    backwards = polls.counters[1:] < polls.counters[:-1]
-    half_space = np.uint64(2 ** (polls.counter_bits - 1))
-
-    elapsed = polls.response_times[1:] - polls.response_times[:-1]
     pair_lost = polls.lost[1:] | polls.lost[:-1]
-    degenerate = ~pair_lost & (elapsed <= 0)
-    # A backwards counter whose modular delta exceeds half the counter
-    # space is a reset (reboot), not a wrap: the sample is unusable.
-    reset = ~pair_lost & ~degenerate & backwards & (deltas > half_space)
-    wrapped = ~pair_lost & ~degenerate & backwards & ~reset
-    valid = ~pair_lost & ~degenerate & ~reset
-
-    rates = np.full((num_intervals, polls.num_objects), np.nan)
-    rates[valid] = (
-        deltas[valid].astype(float) * (8.0 / 1e6) / elapsed[valid]
+    deltas = classify_counter_deltas(
+        polls.counters[:-1],
+        polls.counters[1:],
+        polls.response_times[1:] - polls.response_times[:-1],
+        ~pair_lost,
+        polls.counter_bits,
     )
+    rates, valid = deltas.rates, deltas.valid
 
     valid_per_object = valid.any(axis=0)
     if not valid_per_object.all():
@@ -598,10 +655,10 @@ def rates_from_poll_matrix(
         num_intervals=num_intervals,
         num_objects=polls.num_objects,
         lost_samples=int(pair_lost.sum()),
-        degenerate_samples=int(degenerate.sum()),
+        degenerate_samples=int(deltas.degenerate.sum()),
         interpolated_samples=int((~valid).sum()),
-        reset_samples=int(reset.sum()),
-        wrap_samples=int(wrapped.sum()),
+        reset_samples=int(deltas.reset.sum()),
+        wrap_samples=int(deltas.wrapped.sum()),
         validity=validity,
     )
     if diagnostics.interpolated_fraction > max_interpolated_fraction:

@@ -7,8 +7,10 @@ closes that loop.  For every registered estimation method (described by the
 same :class:`~repro.evaluation.experiments.MethodSpec` lists the Table 2
 runner uses) it
 
-1. estimates the traffic matrix from the scenario's observables (sharing
-   problems and fanning specs out in dependency waves, the PR 3 machinery);
+1. estimates the traffic matrix from the scenario's observables through
+   :func:`~repro.evaluation.experiments.estimate_method_specs`, the one
+   evaluation engine (shared problems, specs in dependency waves, failures
+   recorded as structured reasons);
 2. pushes both the truth and the estimate through every failure case's
    surviving topology via the incremental
    :class:`~repro.planning.whatif.WhatIfEngine`;
@@ -16,11 +18,13 @@ runner uses) it
    compare: predicted vs true maximum utilisation, per-link utilisation
    error, and the congestion-set confusion counts.
 
-Failure cases are independent units of work, so ``n_jobs`` fans them over a
-process pool; the engine and the estimates travel as a shared payload
-(:func:`repro.parallel.share_payload`) — inherited copy-on-write by fork
-workers, shipped once per worker elsewhere, never pickled per case — and
-serial and parallel runs produce identical records in identical order.  Cases that partition the network yield structured
+Failure cases are independent units of work, run through
+:func:`repro.parallel.run_supervised_tasks` (in the parent at ``n_jobs=1``,
+over a process pool otherwise); the engine and the estimates travel as a
+shared payload (:func:`repro.parallel.share_payload`) — inherited
+copy-on-write by fork workers, shipped once per worker elsewhere, never
+pickled per case — and serial and parallel runs produce identical records
+in identical order.  Cases that partition the network yield structured
 ``feasible=False`` records — never an exception — and the aggregation
 (:func:`planning_summary_table`) reports them separately instead of mixing
 their truncated utilisations into the error statistics.
@@ -89,11 +93,9 @@ class PlanningRecord:
         Confusion counts of the congestion set (links above the threshold):
         truly congested links the estimate flags / misses, and links
         flagged without being congested.
-    error:
-        Why the method was skipped on this scenario (empty when it ran);
-        skipped records carry ``NaN`` utilisation numbers.
     failure:
-        Structured skip reason (``None`` when the method ran).
+        Structured reason the method was skipped on this scenario (``None``
+        when it ran); skipped records carry ``NaN`` utilisation numbers.
     degradation:
         Degradation-report dict from the method's diagnostics
         (supervised estimators), ``None`` for a clean run.
@@ -113,14 +115,13 @@ class PlanningRecord:
     congestion_hits: int
     congestion_misses: int
     congestion_false_alarms: int
-    error: str = ""
     failure: Optional[FailureReason] = None
     degradation: Optional[dict] = None
 
     @property
     def skipped(self) -> bool:
         """Whether the method could not run on this scenario's data."""
-        return bool(self.error)
+        return self.failure is not None
 
 
 def _case_record(
@@ -147,7 +148,6 @@ def _case_record(
             congestion_hits=0,
             congestion_misses=0,
             congestion_false_alarms=0,
-            error=result.error,
             failure=result.failure,
         )
     true_congested = set(truth_projection.congested_links)
@@ -176,18 +176,18 @@ def _case_record(
     )
 
 
-def _evaluate_case(
-    case: FailureCase,
-    engine: WhatIfEngine,
-    scenario_name: str,
-    estimates: Sequence[SpecEstimate],
-    growth: float,
-) -> list[PlanningRecord]:
-    """All records of one failure case (one unit of parallel work).
+def _evaluate_case(case: FailureCase, state_ref) -> list[PlanningRecord]:
+    """All records of one failure case (one task of the sweep).
 
-    Distinct truth matrices (snapshot vs series-window specs) are projected
-    once each; every method estimate is projected against its own truth.
+    The sweep state — the what-if engine (with its routing matrix), the
+    scenario name, the estimates and the growth factor — arrives as a
+    :func:`repro.parallel.share_payload` reference: fork workers inherit it
+    without any pickling, spawn workers receive it once per worker through
+    the executor initializer — never once per case.  Distinct truth
+    matrices (snapshot vs series-window specs) are projected once each;
+    every method estimate is projected against its own truth.
     """
+    engine, scenario_name, estimates, growth = resolve_payload(state_ref)
     truth_projections: dict[int, LoadProjection] = {}
     records: list[PlanningRecord] = []
     for result in estimates:
@@ -196,27 +196,12 @@ def _evaluate_case(
             truth_projections[truth_key] = engine.project(result.truth, case, growth=growth)
         truth_projection = truth_projections[truth_key]
         estimate_projection = (
-            None
-            if result.estimate is None
-            else engine.project(result.estimate, case, growth=growth)
+            None if result.skipped else engine.project(result.estimate, case, growth=growth)
         )
         records.append(
             _case_record(scenario_name, case, result, truth_projection, estimate_projection)
         )
     return records
-
-
-def _evaluate_case_pooled(case: FailureCase, state_ref) -> list[PlanningRecord]:
-    """Pool entry point: the sweep state arrives as a shared-payload ref.
-
-    The engine (with its routing matrix), the estimates and the growth
-    factor are registered once via :func:`repro.parallel.share_payload`;
-    fork workers inherit them without any pickling, spawn workers receive
-    them once per worker through the executor initializer — never once per
-    case.
-    """
-    engine, scenario_name, estimates, growth = resolve_payload(state_ref)
-    return _evaluate_case(case, engine, scenario_name, estimates, growth)
 
 
 def failure_sweep(
@@ -248,7 +233,7 @@ def failure_sweep(
         Failure cases (default: every single-link failure plus the
         baseline when ``include_baseline``).
     n_jobs:
-        Worker processes for the failure cases (``1`` = the serial loop,
+        Worker processes for the failure cases (``1`` = in the parent,
         ``None`` = all cores); the spec estimation phase reuses the same
         value for its dependency waves.  Parallel records are identical to
         serial ones, in the same case-major order.
@@ -294,24 +279,18 @@ def failure_sweep(
     engine = WhatIfEngine(scenario.network, utilisation_threshold=utilisation_threshold)
 
     jobs = effective_jobs(n_jobs, len(cases), error=PlanningError)
-    with telemetry.span("planning.failure_sweep", cases=len(cases), jobs=jobs):
-        if jobs == 1:
-            case_records = [
-                _evaluate_case(case, engine, scenario.name, estimates, growth)
-                for case in cases
-            ]
-        else:
-            state_ref = share_payload((engine, scenario.name, estimates, growth))
-            try:
-                case_records, _pool_report = run_supervised_tasks(
-                    _evaluate_case_pooled,
-                    [(case, state_ref) for case in cases],
-                    jobs=jobs,
-                    timeout=task_timeout,
-                    max_resubmissions=max_resubmissions,
-                )
-            finally:
-                release_payload(state_ref)
+    state_ref = share_payload((engine, scenario.name, estimates, growth))
+    try:
+        with telemetry.span("planning.failure_sweep", cases=len(cases), jobs=jobs):
+            case_records, _pool_report = run_supervised_tasks(
+                _evaluate_case,
+                [(case, state_ref) for case in cases],
+                jobs=jobs,
+                timeout=task_timeout,
+                max_resubmissions=max_resubmissions,
+            )
+    finally:
+        release_payload(state_ref)
     return [record for case in case_records for record in case]
 
 

@@ -7,8 +7,8 @@ the failure policy a production deployment needs spelled out:
   each attempt by wall-clock time and/or solver iterations (the
   link-space Newton solves, the FISTA projected gradient and the IPF
   scaling loops all tick the budget);
-* bounded retry of the primary method with deterministically perturbed
-  warm starts;
+* bounded retry of the primary method, each retry rerunning the attempt
+  unchanged;
 * a declared fallback chain (e.g. ``entropy → tomogravity → gravity``)
   walked until some method returns an estimate.
 
@@ -66,13 +66,10 @@ class SupervisedEstimator(Estimator):
         allowance; ``None`` leaves that axis unbounded (no budget at all
         when both are ``None``).
     retries:
-        Extra attempts of the *primary* after its first failure, each
-        passing a deterministically perturbed ``start`` to ``estimate``
-        (methods that ignore ``start``, and series retries, simply retry
-        unperturbed).
-    retry_seed:
-        Seeds the warm-start perturbations, so retry behaviour is
-        reproducible and identical across serial and parallel runs.
+        Extra attempts of the *primary* after its first failure.  A retry
+        reruns the attempt cold: a start would change the answer of the
+        methods that read one (Kruithof converges to the projection of its
+        start), so a successful retry returns the plain method's estimate.
     require_convergence:
         Treat a result whose diagnostics report ``converged: False``
         as a failure (retry, then fall back) instead of returning it.
@@ -93,7 +90,6 @@ class SupervisedEstimator(Estimator):
         max_seconds: Optional[float] = None,
         max_iterations: Optional[int] = None,
         retries: int = 1,
-        retry_seed: int = 0,
         require_convergence: bool = False,
         inject_failures: int = 0,
     ) -> None:
@@ -110,7 +106,6 @@ class SupervisedEstimator(Estimator):
         self.max_seconds = max_seconds
         self.max_iterations = max_iterations
         self.retries = int(retries)
-        self.retry_seed = int(retry_seed)
         self.require_convergence = bool(require_convergence)
         self.inject_failures = int(inject_failures)
 
@@ -121,15 +116,6 @@ class SupervisedEstimator(Estimator):
         return SolverBudget(
             max_seconds=self.max_seconds, max_iterations=self.max_iterations
         )
-
-    def _perturbed_start(
-        self, problem: EstimationProblem, attempt: int
-    ) -> np.ndarray:
-        """A deterministic warm start for retry ``attempt`` (1-based)."""
-        rng = np.random.default_rng((self.retry_seed, attempt))
-        scale = float(np.sum(problem.snapshot)) / max(problem.num_pairs, 1)
-        scale = max(scale, 1e-9)
-        return rng.uniform(0.5, 1.5, size=problem.num_pairs) * scale
 
     def _run(
         self, problem: EstimationProblem, series: bool
@@ -167,15 +153,13 @@ class SupervisedEstimator(Estimator):
             for attempt in range(retries + 1):
                 attempts += 1
                 telemetry.counter_inc("supervisor.attempts")
-                start = None
                 if attempt > 0:
-                    start = self._perturbed_start(problem, attempt)
                     telemetry.counter_inc("supervisor.retries")
                     telemetry.add_event("supervisor.retry", method=name, attempt=attempt)
                     events.append(
                         DegradationEvent(
                             stage="retry",
-                            kind="perturbed-warm-start",
+                            kind="retry",
                             detail=f"{name}: retry {attempt} of {retries}",
                         )
                     )
@@ -188,7 +172,7 @@ class SupervisedEstimator(Estimator):
                         result = (
                             estimator.estimate_series(problem)
                             if series
-                            else estimator.estimate(problem, start=start)
+                            else estimator.estimate(problem)
                         )
                     converged = result.diagnostics.get("converged")
                     if self.require_convergence and converged is False:
@@ -258,8 +242,7 @@ class SupervisedEstimator(Estimator):
     ) -> EstimationResult:
         """Run the supervised chain on a snapshot problem.
 
-        ``start`` is ignored: the first attempt of every method runs cold,
-        and retries start from the seeded perturbations.
+        ``start`` is ignored: every attempt of every method runs cold.
         """
         result, report = self._run(problem, series=False)
         return EstimationResult(

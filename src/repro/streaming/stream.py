@@ -30,11 +30,9 @@ from typing import Optional, Sequence
 import numpy as np
 
 from repro.errors import StreamingError
-from repro.measurement.snmp import PollMatrix
+from repro.measurement.snmp import PollMatrix, classify_counter_deltas
 
 __all__ = ["PollRound", "PollStream", "CounterTracker"]
-
-_RATE_PER_BYTE_SECOND = 8.0 / 1e6
 
 
 @dataclass(frozen=True)
@@ -137,12 +135,13 @@ class CounterTracker:
 
     Keeps the last *answered* poll of every object (counter value and
     response time) plus the last successfully derived rate.  Each call to
-    :meth:`observe` classifies the new poll exactly like the batch path —
-    uint64 deltas reduced modulo the per-object counter space, a backwards
-    counter within half the space is a recovered wrap, beyond half the
-    space a reset — and returns the current rate vector with a freshness
-    mask.  Objects without a fresh sample keep their held rate (zero until
-    first derivation) and age their staleness counter.
+    :meth:`observe` classifies the new poll with the batch path's
+    :func:`~repro.measurement.snmp.classify_counter_deltas` — uint64 deltas
+    reduced modulo the per-object counter space, a backwards counter within
+    half the space is a recovered wrap, beyond half the space a reset — and
+    returns the current rate vector with a freshness mask.  Objects without
+    a fresh sample keep their held rate (zero until first derivation) and
+    age their staleness counter.
 
     Because the last answered poll is retained across lost rounds, the
     first poll after a loss burst yields the *gap-average* rate (the
@@ -193,29 +192,15 @@ class CounterTracker:
                     f"{name} has shape {array.shape}, expected {shape}"
                 )
         answered = ~lost
-        usable = answered & self.have_last
-
-        # uint64 subtraction wraps modulo 2**64; narrower counters reduce
-        # the same difference modulo their own space, recovering the true
-        # delta across a legitimate wrap (same arithmetic as the batch path).
-        deltas = counters - self.last_counter
-        narrow = counter_bits < np.uint64(64)
-        if narrow.any():
-            space = np.uint64(1) << counter_bits[narrow]
-            deltas = deltas.copy()
-            deltas[narrow] = deltas[narrow] % space
-        half_space = np.uint64(1) << (counter_bits - np.uint64(1))
-
-        elapsed = response_times - self.last_response
-        degenerate = usable & (elapsed <= 0)
-        backwards = usable & (counters < self.last_counter)
-        reset = usable & ~degenerate & backwards & (deltas > half_space)
-        fresh = usable & ~degenerate & ~reset
-
-        if fresh.any():
-            self.rate[fresh] = (
-                deltas[fresh].astype(float) * _RATE_PER_BYTE_SECOND / elapsed[fresh]
-            )
+        deltas = classify_counter_deltas(
+            self.last_counter,
+            counters,
+            response_times - self.last_response,
+            answered & self.have_last,
+            counter_bits,
+        )
+        fresh = deltas.valid
+        self.rate[fresh] = deltas.rates[fresh]
         # Re-sync on every answered poll — including after a reset, so the
         # next interval is derived from the rebooted counter's new baseline.
         self.last_counter[answered] = counters[answered]
@@ -225,9 +210,9 @@ class CounterTracker:
         self.stale_rounds[fresh] = 0
         self.stale_rounds[~fresh] += 1
         self.lost_samples += int((~answered).sum())
-        self.degenerate_samples += int(degenerate.sum())
-        self.reset_samples += int(reset.sum())
-        self.wrap_samples += int((usable & ~degenerate & backwards & ~reset).sum())
+        self.degenerate_samples += int(deltas.degenerate.sum())
+        self.reset_samples += int(deltas.reset.sum())
+        self.wrap_samples += int(deltas.wrapped.sum())
         return self.rate.copy(), fresh
 
     # ------------------------------------------------------------------

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from repro.datasets import abilene_scenario
+from repro.evaluation import method_sweep
 from repro.topology import ABILENE_CITIES, abilene_backbone
 
 
@@ -58,8 +59,8 @@ class TestAbileneScenario:
         assert problem.origin_totals == pytest.approx(truth.origin_totals())
 
     def test_methods_run_on_the_third_scenario(self, scenario):
-        records = scenario.sweep(
-            methods=("gravity", "kruithof", "bayesian"), window_length=4
+        records = method_sweep(
+            scenario, methods=("gravity", "kruithof", "bayesian"), window_length=4
         )
         assert all(not record.skipped for record in records)
         assert all(np.isfinite(record.mre) for record in records)

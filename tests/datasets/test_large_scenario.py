@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from repro.datasets import large_scenario
+from repro.evaluation import method_sweep
 
 
 @pytest.fixture(scope="module")
@@ -38,7 +39,7 @@ class TestLargeScenario:
     def test_consistent_problems_and_sweep(self, scenario):
         problem = scenario.series_problem()
         assert problem.series.shape == (8, scenario.network.num_links)
-        records = scenario.sweep(methods=("gravity", "kruithof"))
+        records = method_sweep(scenario, methods=("gravity", "kruithof"))
         by_method = {record.method: record for record in records}
         assert not by_method["gravity"].skipped
         assert not by_method["kruithof"].skipped

@@ -14,6 +14,7 @@ import pytest
 from repro.datasets import MeasuredScenario, Scenario
 from repro.errors import TrafficError
 from repro.estimation.registry import available_estimators
+from repro.evaluation import method_sweep
 
 
 @pytest.fixture(scope="module")
@@ -134,11 +135,11 @@ class TestMeasuredSweepParity:
         methods = available_estimators()
         consistent = {
             record.method: record
-            for record in small_scenario_session.sweep(methods=methods, window_length=10)
+            for record in method_sweep(small_scenario_session, methods=methods, window_length=10)
         }
         measured = {
             record.method: record
-            for record in noise_free.sweep(methods=methods, window_length=10)
+            for record in method_sweep(noise_free, methods=methods, window_length=10)
         }
         assert set(consistent) == set(measured) == set(methods)
         for name in methods:
@@ -153,6 +154,8 @@ class TestMeasuredSweepParity:
         noisy = small_scenario_session.measured(
             jitter_std_seconds=5.0, loss_probability=0.05, seed=2
         )
-        records = noisy.sweep(methods=["gravity", "kruithof", "fanout"], window_length=10)
+        records = method_sweep(
+            noisy, methods=["gravity", "kruithof", "fanout"], window_length=10
+        )
         assert all(not record.skipped for record in records)
         assert all(np.isfinite(record.mre) for record in records)

@@ -7,6 +7,7 @@ import pytest
 
 from repro.errors import EstimationError
 from repro.estimation import get_estimator
+from repro.evaluation import method_sweep
 
 WINDOW = 8
 
@@ -125,10 +126,10 @@ class TestSeriesResultContainer:
             series_problem.at_snapshot(WINDOW)
 
 
-class TestScenarioSweep:
+class TestMethodSweep:
     def test_sweep_scores_registered_methods(self, scenario):
-        records = scenario.sweep(
-            methods=("gravity", "kruithof", "bayesian", "fanout"), window_length=5
+        records = method_sweep(
+            scenario, methods=("gravity", "kruithof", "bayesian", "fanout"), window_length=5
         )
         assert [record.method for record in records] == [
             "gravity",
@@ -139,24 +140,26 @@ class TestScenarioSweep:
         for record in records:
             assert not record.skipped
             assert np.isfinite(record.mre)
-            assert record.per_snapshot_mre.shape == (5,)
+            assert len(record.per_snapshot_mre) == 5
+            assert all(np.isfinite(record.per_snapshot_mre))
 
     def test_sweep_default_covers_every_registered_method(self, scenario):
         from repro.estimation import available_estimators
 
-        records = scenario.sweep(window_length=3)
+        records = method_sweep(scenario, window_length=3)
         assert [record.method for record in records] == list(available_estimators())
         ran = {record.method for record in records if not record.skipped}
         assert {"gravity", "kruithof", "bayesian", "entropy", "vardi", "fanout"} <= ran
 
     def test_sweep_reports_skips_instead_of_raising(self, scenario):
-        records = scenario.sweep(methods=("generalized-gravity",), window_length=3)
+        records = method_sweep(scenario, methods=("generalized-gravity",), window_length=3)
         assert records[0].skipped
-        assert "generalised gravity" in records[0].error
+        assert records[0].failure.stage == "construct"
+        assert "generalised gravity" in records[0].failure.message
 
     def test_sweep_accepts_parameterised_methods(self, scenario):
-        records = scenario.sweep(
-            methods=(("bayesian", {"regularization": 10.0}),), window_length=3
+        records = method_sweep(
+            scenario, methods=(("bayesian", {"regularization": 10.0}),), window_length=3
         )
         assert records[0].method == "bayesian"
         assert not records[0].skipped

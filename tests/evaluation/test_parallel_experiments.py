@@ -105,7 +105,10 @@ class TestRobustnessSweepParallel:
         parallel = robustness_sweep(scenario, n_jobs=2, **kwargs)
         assert_records_equal(serial, parallel)
         # The grid order is preserved: jitter-major, then loss, then method.
-        coords = [(r.jitter_std_seconds, r.loss_probability) for r in parallel]
+        coords = [
+            (r.parameters["jitter_std_seconds"], r.parameters["loss_probability"])
+            for r in parallel
+        ]
         assert coords == sorted(coords, key=lambda c: (c[0], c[1]))
 
     def test_multiple_scenarios_preserve_order(self, scenario):

@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 
 from repro.evaluation.experiments import (
-    RobustnessRecord,
+    ExperimentRecord,
     method_comparison,
+    method_sweep,
     robustness_sweep,
     robustness_table,
 )
@@ -15,6 +16,14 @@ from repro.evaluation.experiments import (
 METHODS = ("gravity", "kruithof")
 JITTER = (0.0, 5.0)
 LOSS = (0.0, 0.05)
+
+
+def noise(record):
+    """The ``(jitter, loss)`` cell a robustness record belongs to."""
+    return (
+        record.parameters["jitter_std_seconds"],
+        record.parameters["loss_probability"],
+    )
 
 
 @pytest.fixture(scope="module")
@@ -32,9 +41,9 @@ def records(small_scenario_session):
 class TestRobustnessSweep:
     def test_full_grid_is_covered(self, records):
         assert len(records) == len(JITTER) * len(LOSS) * len(METHODS)
-        cells = {(r.method, r.jitter_std_seconds, r.loss_probability) for r in records}
+        cells = {(r.method, noise(r)) for r in records}
         assert len(cells) == len(records)
-        assert all(isinstance(record, RobustnessRecord) for record in records)
+        assert all(isinstance(record, ExperimentRecord) for record in records)
         assert all(not record.skipped for record in records)
 
     def test_zero_noise_cell_matches_consistent_sweep(
@@ -42,18 +51,18 @@ class TestRobustnessSweep:
     ):
         consistent = {
             record.method: record.mre
-            for record in small_scenario_session.sweep(methods=METHODS, window_length=10)
+            for record in method_sweep(
+                small_scenario_session, methods=METHODS, window_length=10
+            )
         }
         for record in records:
-            if record.jitter_std_seconds == 0.0 and record.loss_probability == 0.0:
+            if noise(record) == (0.0, 0.0):
                 assert record.mre == pytest.approx(
                     consistent[record.method], rel=1e-4, abs=1e-6
                 )
 
     def test_noise_changes_the_scores(self, records):
-        by_cell = {
-            (r.method, r.jitter_std_seconds, r.loss_probability): r.mre for r in records
-        }
+        by_cell = {(r.method, *noise(r)): r.mre for r in records}
         changed = [
             method
             for method in METHODS

@@ -13,6 +13,7 @@ from repro.measurement import (
     SNMPPoller,
     rates_from_poll_matrix,
 )
+from repro.measurement.snmp import classify_counter_deltas
 
 
 def rates_from_rounds(poll_rounds, object_names, counter_bits=64, **kwargs):
@@ -214,6 +215,25 @@ class TestVectorizedPoller:
         vectorized, _ = rates_from_poll_matrix(polls)
         reference = _reference_rates(polls.to_rounds(), names)
         assert np.allclose(vectorized, reference, rtol=0, atol=1e-12)
+
+
+class TestClassifyCounterDeltas:
+    def test_each_object_is_reduced_in_its_own_counter_space(self):
+        # One call, mixed widths: a 64-bit step, a Counter32 wrap, a
+        # Counter32 reset, a 64-bit reset, a degenerate and an unusable pair.
+        previous = np.array([2**40, 2**32 - 100, 1000, 1000, 0, 0], dtype=np.uint64)
+        current = np.array([2**40 + 3000, 50, 10, 10, 500, 500], dtype=np.uint64)
+        bits = np.array([64, 32, 32, 64, 64, 64], dtype=np.uint64)
+        elapsed = np.array([300.0, 300.0, 300.0, 300.0, 0.0, 300.0])
+        usable = np.array([True, True, True, True, True, False])
+        deltas = classify_counter_deltas(previous, current, elapsed, usable, bits)
+        np.testing.assert_array_equal(deltas.valid, [1, 1, 0, 0, 0, 0])
+        np.testing.assert_array_equal(deltas.wrapped, [0, 1, 0, 0, 0, 0])
+        np.testing.assert_array_equal(deltas.reset, [0, 0, 1, 1, 0, 0])
+        np.testing.assert_array_equal(deltas.degenerate, [0, 0, 0, 0, 1, 0])
+        assert deltas.rates[0] == 3000 * (8.0 / 1e6) / 300.0
+        assert deltas.rates[1] == 150 * (8.0 / 1e6) / 300.0
+        assert np.isnan(deltas.rates[2:]).all()
 
 
 class TestRateDiagnostics:

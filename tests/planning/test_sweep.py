@@ -55,7 +55,7 @@ class TestFailureSweep:
             # The numbers stay well-defined (surviving traffic only).
             assert math.isfinite(record.true_max_utilisation)
 
-    def test_skipped_method_records_error(self, dumbbell_scenario):
+    def test_skipped_method_records_failure(self, dumbbell_scenario):
         specs = (
             MethodSpec(label="gravity", estimator="gravity"),
             MethodSpec(label="broken", estimator="vardi", params={"poisson_weight": -1.0}),
@@ -65,7 +65,7 @@ class TestFailureSweep:
         broken = [r for r in records if r.method == "broken"]
         assert len(broken) == len(cases)
         for record in broken:
-            assert record.skipped and record.error
+            assert record.skipped and record.failure.stage == "construct"
             assert math.isnan(record.predicted_max_utilisation)
             assert math.isnan(record.max_utilisation_error)
         # The healthy method is unaffected.
@@ -111,7 +111,7 @@ class TestFailureSweep:
                 b.case,
                 b.kind,
             )
-            assert a.feasible == b.feasible and a.error == b.error
+            assert a.feasible == b.feasible and a.failure == b.failure
             for field in (
                 "num_infeasible_pairs",
                 "lost_traffic",

@@ -5,7 +5,8 @@ counter resets, clock skew, stuck counters, collector outages, worker
 crashes, worker hangs, and solver non-convergence — all four entry points
 (:func:`~repro.evaluation.experiments.run_method_specs`,
 :func:`~repro.evaluation.experiments.robustness_sweep`,
-:func:`~repro.planning.sweep.failure_sweep`, and ``Scenario.sweep``)
+:func:`~repro.planning.sweep.failure_sweep`, and
+:func:`~repro.evaluation.experiments.method_sweep`)
 complete without an unhandled exception, every
 degraded result carries a structured degradation report naming the fault
 and the fallback, and serial and parallel runs produce identical records
@@ -27,6 +28,7 @@ import pytest
 from repro.datasets import small_scenario
 from repro.evaluation.experiments import (
     MethodSpec,
+    method_sweep,
     robustness_sweep,
     run_method_specs,
 )
@@ -143,7 +145,7 @@ def test_robustness_sweep_under_measurement_faults(scenario, fault_name):
     records_identical(serial, parallel)
     assert len(serial) == 4  # 2 jitter x 1 loss x 2 methods
     for record in serial:
-        assert record.error == "" and np.isfinite(record.mre)
+        assert not record.skipped and np.isfinite(record.mre)
 
 
 def test_failure_sweep_reports_fallbacks_per_case(scenario):
@@ -176,7 +178,7 @@ def test_failure_sweep_reports_fallbacks_per_case(scenario):
 
 
 @pytest.mark.parametrize("fault_name", ["poll-loss-burst", "collector-outage"])
-def test_scenario_sweep_under_faults(scenario, fault_name):
+def test_method_sweep_under_faults(scenario, fault_name):
     measured = scenario.measured(
         loss_probability=0.02,
         num_pollers=2,
@@ -185,7 +187,8 @@ def test_scenario_sweep_under_faults(scenario, fault_name):
     )
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
-        records = measured.sweep(
+        records = method_sweep(
+            measured,
             methods=[
                 (
                     "supervised",

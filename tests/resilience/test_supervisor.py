@@ -140,13 +140,23 @@ def test_unknown_fallback_is_an_event_not_a_crash(problem):
     assert any(event.stage == "construct" for event in report.events)
 
 
-def test_retry_perturbations_are_deterministic(problem):
-    estimator = SupervisedEstimator(retry_seed=3)
-    first = estimator._perturbed_start(problem, attempt=1)
-    second = SupervisedEstimator(retry_seed=3)._perturbed_start(problem, attempt=1)
-    np.testing.assert_array_equal(first, second)
-    assert not np.array_equal(first, estimator._perturbed_start(problem, attempt=2))
-    assert (first > 0).all()
+def test_kruithof_retry_returns_the_plain_estimate():
+    """A retry reruns the attempt cold: Kruithof converges to the projection
+    of its start, so a perturbed retry start would return a different
+    matrix than the plain method on the same problem."""
+    from repro.datasets import europe_scenario
+
+    problem = europe_scenario().snapshot_problem()
+    supervised = get_estimator(
+        "supervised", primary="kruithof", fallbacks=(), retries=1, inject_failures=1
+    )
+    with pytest.warns(RuntimeWarning):
+        result = supervised.estimate(problem)
+    plain = get_estimator("kruithof").estimate(problem)
+    np.testing.assert_array_equal(result.vector, plain.vector)
+    report = degradation_from_diagnostics(result.diagnostics)
+    assert report.used == "kruithof" and report.attempts == 2
+    assert [event.kind for event in report.events if event.stage == "retry"] == ["retry"]
 
 
 def test_estimate_series_walks_the_same_chain(series_problem):

@@ -1,7 +1,7 @@
 """``registry-contracts``: registered estimators honour the advertised API.
 
 The estimator registry (:mod:`repro.estimation.registry`) is what lets the
-experiment runners, ``Scenario.sweep()`` and the planning sweeps compose
+experiment runners, ``method_sweep()`` and the planning sweeps compose
 method sets by *name* — which also means a registered class that quietly
 drops part of the :class:`~repro.estimation.base.Estimator` surface fails
 at a distance: a missing ``estimate`` only explodes inside a sweep, an
