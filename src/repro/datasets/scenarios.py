@@ -46,6 +46,7 @@ from repro.measurement.collector import DistributedCollector
 from repro.measurement.linkloads import link_load_series
 from repro.measurement.snmp import RateDiagnostics
 from repro.routing.routing_matrix import RoutingMatrix
+from repro.topology.elements import pair_order
 from repro.topology.network import Network
 from repro.traffic.matrix import TrafficMatrix, TrafficMatrixSeries
 
@@ -142,18 +143,11 @@ class Scenario:
         access links in both modes), vectorised from the demand array.
         """
         demands = series.as_array()  # (K, P)
-        origins = tuple(dict.fromkeys(pair.origin for pair in series.pairs))
-        destinations = tuple(dict.fromkeys(pair.destination for pair in series.pairs))
-        origin_index = {name: idx for idx, name in enumerate(origins)}
-        destination_index = {name: idx for idx, name in enumerate(destinations)}
-        origin_cols = np.array([origin_index[pair.origin] for pair in series.pairs])
-        destination_cols = np.array(
-            [destination_index[pair.destination] for pair in series.pairs]
-        )
-        origin_series = np.zeros((len(series), len(origins)))
-        np.add.at(origin_series.T, origin_cols, demands.T)
-        destination_series = np.zeros((len(series), len(destinations)))
-        np.add.at(destination_series.T, destination_cols, demands.T)
+        order = pair_order(series.pairs)
+        origin_series = np.zeros((len(series), len(order.origins)))
+        np.add.at(origin_series.T, order.origin_cols, demands.T)
+        destination_series = np.zeros((len(series), len(order.destinations)))
+        np.add.at(destination_series.T, order.destination_cols, demands.T)
         mean_matrix = series.mean_matrix()
         origin_totals, destination_totals = self._edge_totals(mean_matrix)
         return EstimationProblem(
@@ -163,9 +157,9 @@ class Scenario:
             origin_totals=origin_totals,
             destination_totals=destination_totals,
             origin_totals_series=origin_series,
-            origin_names=origins,
+            origin_names=order.origins,
             destination_totals_series=destination_series,
-            destination_names=destinations,
+            destination_names=order.destinations,
         )
 
     def series_problem(

@@ -34,7 +34,7 @@ import scipy.sparse
 from repro import telemetry
 from repro.errors import EstimationError
 from repro.routing.routing_matrix import RoutingMatrix
-from repro.topology.elements import NodePair
+from repro.topology.elements import NodePair, pair_order
 from repro.traffic.matrix import TrafficMatrix
 
 __all__ = [
@@ -220,42 +220,28 @@ class EstimationProblem:
         ``origin_cols[p]`` / ``destination_cols[p]`` are the indices of pair
         ``p``'s origin and destination within the first-appearance label
         orders — the index arrays every vectorised totals/gravity/Kruithof
-        path needs, built once per problem.
+        path needs, shared by every problem over the same pair tuple (see
+        :func:`~repro.topology.elements.pair_order`).
         """
-
-        def build() -> tuple[tuple[str, ...], tuple[str, ...], np.ndarray, np.ndarray]:
-            origins = self.origin_order()
-            destinations = self.destination_order()
-            origin_index = {name: idx for idx, name in enumerate(origins)}
-            destination_index = {name: idx for idx, name in enumerate(destinations)}
-            origin_cols = np.array([origin_index[pair.origin] for pair in self.pairs])
-            destination_cols = np.array(
-                [destination_index[pair.destination] for pair in self.pairs]
-            )
-            origin_cols.setflags(write=False)
-            destination_cols.setflags(write=False)
-            return origins, destinations, origin_cols, destination_cols
-
-        return self.shared(("pair_positions",), build)
+        order = pair_order(self.pairs)
+        return order.origins, order.destinations, order.origin_cols, order.destination_cols
 
     # ------------------------------------------------------------------
     # edge-total incidence structure
     # ------------------------------------------------------------------
     def origin_order(self) -> tuple[str, ...]:
         """Origins in first-appearance pair order (the canonical row order)."""
-        return tuple(dict.fromkeys(pair.origin for pair in self.pairs))
+        return pair_order(self.pairs).origins
 
     def destination_order(self) -> tuple[str, ...]:
         """Destinations in first-appearance pair order."""
-        return tuple(dict.fromkeys(pair.destination for pair in self.pairs))
+        return pair_order(self.pairs).destinations
 
-    def _incidence_block(self, labels: tuple[str, ...], attribute: str) -> np.ndarray:
-        """0/1 block mapping pairs to their origin (or destination) row."""
-        index = {name: row for row, name in enumerate(labels)}
-        block = np.zeros((len(labels), self.num_pairs))
-        rows = [index[getattr(pair, attribute)] for pair in self.pairs]
-        block[rows, np.arange(self.num_pairs)] = 1.0
-        return block
+    def _incidence_block(self, num_rows: int, cols: np.ndarray) -> scipy.sparse.csr_matrix:
+        """0/1 CSR block putting pair ``p`` in row ``cols[p]`` (its origin or destination)."""
+        ones = np.ones(self.num_pairs)
+        positions = np.arange(self.num_pairs)
+        return scipy.sparse.csr_matrix((ones, (cols, positions)), shape=(num_rows, self.num_pairs))
 
     def augmented_system(
         self,
@@ -286,22 +272,21 @@ class EstimationProblem:
             self.routing.backend.raw if sparse else self.routing.matrix
         ]
         rhs = [self.snapshot]
+        origins, destinations, origin_cols, destination_cols = self.pair_positions()
         if include_origin_totals and self.origin_totals is not None:
-            origins = self.origin_order()
-            rows.append(self._incidence_block(origins, "origin"))
+            rows.append(self._incidence_block(len(origins), origin_cols))
             rhs.append(np.array([self.origin_totals.get(origin, 0.0) for origin in origins]))
         if include_destination_totals and self.destination_totals is not None:
-            destinations = self.destination_order()
-            rows.append(self._incidence_block(destinations, "destination"))
+            rows.append(self._incidence_block(len(destinations), destination_cols))
             rhs.append(
                 np.array([self.destination_totals.get(dest, 0.0) for dest in destinations])
             )
         if sparse:
             matrix: Union[np.ndarray, scipy.sparse.spmatrix] = scipy.sparse.vstack(
-                [scipy.sparse.csr_matrix(block) for block in rows], format="csr"
+                rows, format="csr"
             )
         else:
-            matrix = np.vstack(rows)
+            matrix = np.vstack([rows[0], *(block.toarray() for block in rows[1:])])
         result = (matrix, np.concatenate(rhs))
         self._augmented_cache[key] = result
         return result

@@ -42,6 +42,7 @@ from repro.estimation.priors import worst_case_bound_prior
 from repro.estimation.vardi import VardiEstimator
 from repro.estimation.worstcase import worst_case_bounds
 from repro.evaluation.metrics import mean_relative_error, top_demand_threshold
+from repro.topology.elements import pair_order
 from repro.traffic.matrix import TrafficMatrix
 from repro.traffic.meanvariance import fit_scaling_law
 from repro.traffic.synthetic import poisson_series
@@ -101,7 +102,7 @@ def fanout_stability(scenario: Scenario, num_sources: int = 4) -> dict[str, np.n
 
     array = series.as_array()
     fanouts = series.fanout_series()
-    pair_index = {pair: idx for idx, pair in enumerate(series.pairs)}
+    pair_index = pair_order(series.pairs).index
 
     demand_tracks, fanout_tracks, track_labels = [], [], []
     for origin in largest_origins:

@@ -32,7 +32,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from repro.errors import MeasurementError
-from repro.topology.elements import NodePair
+from repro.topology.elements import NodePair, pair_order
 from repro.traffic.matrix import TrafficMatrix, TrafficMatrixSeries
 
 __all__ = [
@@ -149,7 +149,7 @@ class NetFlowAggregator:
             raise MeasurementError("interval_seconds must be positive")
         self.pairs = tuple(pairs)
         self.interval_seconds = float(interval_seconds)
-        self._pair_index = {pair: idx for idx, pair in enumerate(self.pairs)}
+        self._pair_index = pair_order(self.pairs).index
 
     def aggregate(
         self,

@@ -7,13 +7,13 @@ touched the failed element and keep their path (removing links or nodes can
 only *remove* candidate paths, so a surviving shortest path stays shortest,
 and the deterministic lexicographic tie-breaking keeps the same winner).
 
-:class:`IncrementalRerouter` exploits that: it routes the mesh once over the
-base topology, builds inverted indexes from links and nodes to the pairs
-whose paths traverse them, and for each failure case re-runs Dijkstra only
-for the affected pairs — over the *base* network with the failed elements
-excluded, so no per-case topology object is ever constructed.  The
-post-failure routing matrix is likewise rebuilt incrementally: the base
-coordinate arrays are kept and only the affected columns are replaced.
+:class:`IncrementalRerouter` exploits that: it reads the base routing matrix
+instead of routing the mesh again.  The CSR rows of the failed links name
+the affected pairs, and for each failure case Dijkstra re-runs only for
+those — over the *base* network with the failed elements excluded, so no
+per-case topology object is ever constructed.  The post-failure routing
+matrix is likewise rebuilt incrementally: the base coordinates are kept
+and only the affected columns are replaced.
 
 With per-LSP ``bandwidths`` the rerouter mimics RSVP-TE repair: the
 reservations of the torn-down LSPs are released and the affected LSPs are
@@ -43,9 +43,9 @@ import scipy.sparse
 from repro.errors import RoutingError
 from repro.routing.cspf import CSPFRouter
 from repro.routing.lsp import LSPMesh
-from repro.routing.routing_matrix import RoutingMatrix
-from repro.routing.shortest_path import Path, ShortestPathRouter, constrained_dijkstra
-from repro.topology.elements import Link, NodePair
+from repro.routing.routing_matrix import RoutingMatrix, build_routing_matrix
+from repro.routing.shortest_path import Path, constrained_dijkstra
+from repro.topology.elements import Link, NodePair, pair_order
 from repro.topology.network import Network
 
 __all__ = ["RerouteResult", "IncrementalRerouter"]
@@ -60,8 +60,9 @@ class RerouteResult:
     failed_links, failed_nodes:
         The failed elements (links incident to failed nodes are implied).
     paths:
-        Post-failure path for *every* pair in canonical order; ``None``
-        marks a pair the failure disconnects.
+        Post-failure path of every rerouted pair, in canonical order;
+        ``None`` marks a pair the failure disconnects.  Pairs not listed
+        kept their base path (their column of the base routing matrix).
     rerouted:
         Pairs whose base path traversed a failed element (in canonical
         order); all other pairs kept their base path.
@@ -84,6 +85,14 @@ class RerouteResult:
 class IncrementalRerouter:
     """Re-route only the demands a failure actually touches.
 
+    The rerouter keeps one representation of the intact mesh, its base
+    :class:`~repro.routing.routing_matrix.RoutingMatrix`: the CSR rows of
+    the failed links name the affected pairs, and the base coordinates
+    (with their values, so a fractional ECMP base keeps its splits in the
+    unaffected columns) seed the post-failure rebuild.
+    :meth:`from_routing` adopts an existing matrix without routing
+    anything; the constructor routes the mesh itself.
+
     Parameters
     ----------
     network:
@@ -93,84 +102,63 @@ class IncrementalRerouter:
         is signalled with CSPF (largest LSPs first) and failure repair
         honours the surviving reservations; when omitted (default) routing
         is pure IGP shortest path and incremental re-routing is provably
-        identical to a from-scratch rebuild.
-    paths:
-        Pre-computed base paths (e.g. from an existing routing matrix
-        build).  Must cover every canonical pair; overrides the internal
-        base routing.
+        identical to a from-scratch rebuild.  Only this mode keeps the
+        intact mesh's :class:`~repro.routing.shortest_path.Path` objects,
+        which repair needs to release the torn-down reservations.
     """
 
     def __init__(
         self,
         network: Network,
         bandwidths: Optional[Mapping[NodePair, float]] = None,
-        paths: Optional[Mapping[NodePair, Path]] = None,
     ) -> None:
-        self.network = network
-        self.pairs = network.node_pairs()
-        self.bandwidths = {pair: float(value) for pair, value in (bandwidths or {}).items()}
-        unknown = set(self.bandwidths) - set(self.pairs)
+        values = {pair: float(value) for pair, value in (bandwidths or {}).items()}
+        unknown = set(values) - set(network.node_pairs())
         if unknown:
             raise RoutingError(
                 f"bandwidths reference unknown pairs: {sorted(map(str, unknown))}"
             )
-        if paths is not None:
-            missing = [pair for pair in self.pairs if pair not in paths]
-            if missing:
-                raise RoutingError(
-                    f"base paths missing pairs: {[str(p) for p in missing[:5]]}"
-                )
-            self.base_paths: dict[NodePair, Path] = {pair: paths[pair] for pair in self.pairs}
-        elif self.bandwidths:
-            router = CSPFRouter(network)
-            mesh = LSPMesh(network, bandwidths=self.bandwidths)
-            self.base_paths = dict(router.signal_mesh(mesh, order="bandwidth"))
-        else:
-            self.base_paths = dict(ShortestPathRouter(network).route_all())
+        paths: dict[NodePair, Path] = {}
+        if values:
+            mesh = LSPMesh(network, bandwidths=values)
+            paths = dict(CSPFRouter(network).signal_mesh(mesh, order="bandwidth"))
+        self._adopt(build_routing_matrix(network, paths=paths or None), values, paths)
+
+    @classmethod
+    def from_routing(cls, routing: RoutingMatrix) -> "IncrementalRerouter":
+        """Rerouter over an existing IGP routing matrix (no routing is redone).
+
+        ``routing`` must carry its ``network``; post-failure matrices share
+        its pair tuple and link order.
+        """
+        rerouter = cls.__new__(cls)
+        rerouter._adopt(routing, {}, {})
+        return rerouter
+
+    def _adopt(
+        self,
+        routing: RoutingMatrix,
+        bandwidths: dict[NodePair, float],
+        paths: dict[NodePair, Path],
+    ) -> None:
+        if routing.network is None:
+            raise RoutingError("routing matrix carries no network; cannot re-route it")
+        if routing.link_names != routing.network.link_names:
+            raise RoutingError("routing matrix rows do not follow its network's link order")
+        self.network = routing.network
+        self.base_matrix = routing
+        self.pairs = routing.pairs
+        self.bandwidths = bandwidths
+        self._base_paths = paths
+        self._pair_position = pair_order(self.pairs).index
+        # Rows of the failed links -> affected pairs; coordinates -> rebuilds.
+        self._by_link = scipy.sparse.csr_matrix(routing.native)
+        coo = self._by_link.tocoo()
+        self._base_rows, self._base_cols, self._base_data = coo.row, coo.col, coo.data
         # Which LSPs actually hold a reservation: non-strict CSPF routes an
         # unplaceable LSP along the unconstrained shortest path *without*
         # reserving bandwidth, so the repair path must not release for it.
-        self._base_reserved, self._reservation_holders = self._replay_reservations(
-            self.base_paths
-        )
-
-        # Inverted indexes: which pairs does each link / node carry?
-        self._pair_position = {pair: idx for idx, pair in enumerate(self.pairs)}
-        self._pairs_by_link: dict[str, list[NodePair]] = {}
-        self._pairs_by_node: dict[str, list[NodePair]] = {}
-        for pair in self.pairs:
-            path = self.base_paths[pair]
-            for link in path.links:
-                self._pairs_by_link.setdefault(link.name, []).append(pair)
-            for node in path.nodes:
-                self._pairs_by_node.setdefault(node, []).append(pair)
-
-        # Base coordinate arrays for incremental routing-matrix rebuilds.
-        rows: list[int] = []
-        cols: list[int] = []
-        for col, pair in enumerate(self.pairs):
-            for link in self.base_paths[pair].links:
-                rows.append(network.link_index(link.name))
-                cols.append(col)
-        self._base_rows = np.asarray(rows, dtype=np.int64)
-        self._base_cols = np.asarray(cols, dtype=np.int64)
-        self._base_matrix: Optional[RoutingMatrix] = None
-
-    # ------------------------------------------------------------------
-    # base routing
-    # ------------------------------------------------------------------
-    @property
-    def base_matrix(self) -> RoutingMatrix:
-        """Routing matrix of the intact topology (built once, cached)."""
-        if self._base_matrix is None:
-            coo = scipy.sparse.coo_matrix(
-                (np.ones(len(self._base_rows)), (self._base_rows, self._base_cols)),
-                shape=(self.network.num_links, len(self.pairs)),
-            )
-            self._base_matrix = RoutingMatrix(
-                coo, self.network.link_names, self.pairs, network=self.network
-            )
-        return self._base_matrix
+        self._base_reserved, self._reservation_holders = self._replay_reservations(paths)
 
     def _replay_reservations(
         self, paths: Mapping[NodePair, Path]
@@ -188,7 +176,7 @@ class IncrementalRerouter:
         holders: set[NodePair] = set()
         capacity = {name: self.network.link(name).capacity_mbps for name in reserved}
         order = sorted(
-            (pair for pair in self.pairs if self.bandwidths.get(pair, 0.0) > 0.0),
+            (pair for pair, bandwidth in self.bandwidths.items() if bandwidth > 0.0),
             key=lambda pair: (-self.bandwidths[pair], str(pair)),
         )
         for pair in order:
@@ -218,22 +206,15 @@ class IncrementalRerouter:
                 links.add(link.name)
         return links, nodes
 
-    def affected_pairs(
-        self, failed_links: Iterable[str] = (), failed_nodes: Iterable[str] = ()
-    ) -> tuple[NodePair, ...]:
-        """Pairs whose base path traverses any failed element, canonical order."""
-        links, nodes = self._expand_failed(failed_links, failed_nodes)
-        return self._affected_from(links, nodes)
+    def _affected_from(self, banned_links: set[str]) -> tuple[NodePair, ...]:
+        """Pairs whose base path crosses a banned link, in canonical order.
 
-    def _affected_from(
-        self, banned_links: set[str], banned_nodes: set[str]
-    ) -> tuple[NodePair, ...]:
-        touched: set[NodePair] = set()
-        for name in banned_links:
-            touched.update(self._pairs_by_link.get(name, ()))
-        for name in banned_nodes:
-            touched.update(self._pairs_by_node.get(name, ()))
-        return tuple(sorted(touched, key=self._pair_position.__getitem__))
+        A failed node's incident links are banned too, so the rows of the
+        banned links cover every path through, from or to it.
+        """
+        rows = [self.network.link_index(name) for name in banned_links]
+        columns = np.unique(self._by_link[rows].indices)
+        return tuple(self.pairs[column] for column in columns)
 
     def _shortest_path_excluding(
         self,
@@ -278,8 +259,8 @@ class IncrementalRerouter:
         failed_links = tuple(failed_links)
         failed_nodes = tuple(failed_nodes)
         banned_links, banned_nodes = self._expand_failed(failed_links, failed_nodes)
-        affected = self._affected_from(banned_links, banned_nodes)
-        paths: dict[NodePair, Optional[Path]] = dict(self.base_paths)
+        affected = self._affected_from(banned_links)
+        paths: dict[NodePair, Optional[Path]] = dict.fromkeys(affected)
         infeasible: list[NodePair] = []
 
         available: Optional[dict[str, float]] = None
@@ -293,7 +274,7 @@ class IncrementalRerouter:
             for pair in affected:
                 bandwidth = self.bandwidths.get(pair, 0.0)
                 if bandwidth and pair in self._reservation_holders:
-                    for link in self.base_paths[pair].links:
+                    for link in self._base_paths[pair].links:
                         reserved[link.name] -= bandwidth
             available = {
                 name: self.network.link(name).capacity_mbps - reserved[name]
@@ -308,7 +289,6 @@ class IncrementalRerouter:
 
         for pair in order:
             if pair.origin in banned_nodes or pair.destination in banned_nodes:
-                paths[pair] = None
                 infeasible.append(pair)
                 continue
             bandwidth = self.bandwidths.get(pair, 0.0)
@@ -321,7 +301,6 @@ class IncrementalRerouter:
                 path = self._shortest_path_excluding(pair, banned_links, banned_nodes)
                 bandwidth = 0.0
             if path is None:
-                paths[pair] = None
                 infeasible.append(pair)
                 continue
             if available is not None and bandwidth > 0.0:
@@ -346,40 +325,35 @@ class IncrementalRerouter:
     ) -> tuple[RoutingMatrix, RerouteResult]:
         """Post-failure routing matrix, rebuilt incrementally.
 
-        The base coordinate arrays are reused: entries of unaffected
-        columns are kept as-is and only the affected columns are replaced
-        with the re-routed paths (infeasible pairs become all-zero
-        columns).  Row and column orderings stay the *base* network's, so
-        post-failure matrices of different cases stay directly comparable.
+        The base matrix's coordinates are reused: entries of unaffected
+        columns are kept as-is (values included) and only the affected
+        columns are replaced with the re-routed paths (infeasible pairs
+        become all-zero columns).  Rows and columns stay the *base*
+        matrix's, pair tuple included, so post-failure matrices of
+        different cases stay directly comparable.
         """
         result = self.reroute(failed_links, failed_nodes)
+        base = self.base_matrix
         if not result.rerouted:
-            matrix = (
-                self.base_matrix if backend == "auto" else self.base_matrix.with_backend(backend)
-            )
-            return matrix, result
+            return (base if backend == "auto" else base.with_backend(backend)), result
 
-        affected_cols = np.asarray(
-            [self._pair_position[pair] for pair in result.rerouted], dtype=np.int64
-        )
-        keep = ~np.isin(self._base_cols, affected_cols)
+        moved = np.zeros(len(self.pairs), dtype=bool)
+        moved[[self._pair_position[pair] for pair in result.rerouted]] = True
+        keep = ~moved[self._base_cols]
         new_rows: list[int] = []
         new_cols: list[int] = []
-        for pair in result.rerouted:
-            path = result.paths[pair]
+        for pair, path in result.paths.items():
             if path is None:
                 continue
             col = self._pair_position[pair]
             for link in path.links:
                 new_rows.append(self.network.link_index(link.name))
                 new_cols.append(col)
-        rows = np.concatenate([self._base_rows[keep], np.asarray(new_rows, dtype=np.int64)])
-        cols = np.concatenate([self._base_cols[keep], np.asarray(new_cols, dtype=np.int64)])
-        coo = scipy.sparse.coo_matrix(
-            (np.ones(len(rows)), (rows, cols)),
-            shape=(self.network.num_links, len(self.pairs)),
-        )
+        rows = np.concatenate([self._base_rows[keep], np.asarray(new_rows, dtype=np.intp)])
+        cols = np.concatenate([self._base_cols[keep], np.asarray(new_cols, dtype=np.intp)])
+        data = np.concatenate([self._base_data[keep], np.ones(len(new_rows))])
+        coo = scipy.sparse.coo_matrix((data, (rows, cols)), shape=base.shape)
         matrix = RoutingMatrix(
-            coo, self.network.link_names, self.pairs, network=self.network, backend=backend
+            coo, base.link_names, self.pairs, network=self.network, backend=backend
         )
         return matrix, result

@@ -29,7 +29,7 @@ from repro.errors import RoutingError
 from repro.routing.backends import RoutingBackend, make_backend
 from repro.routing.cspf import CSPFRouter
 from repro.routing.shortest_path import Path, ShortestPathRouter
-from repro.topology.elements import NodePair
+from repro.topology.elements import NodePair, pair_order
 from repro.topology.network import Network
 
 __all__ = ["RoutingMatrix", "build_routing_matrix", "build_ecmp_routing_matrix"]
@@ -73,7 +73,7 @@ class RoutingMatrix:
         self.link_names = tuple(link_names)
         self.pairs = tuple(pairs)
         self.network = network
-        self._pair_index = {pair: idx for idx, pair in enumerate(self.pairs)}
+        self._pair_index = pair_order(self.pairs).index
         self._link_index = {name: idx for idx, name in enumerate(self.link_names)}
         self._rank: Optional[int] = None
         self._path_lengths: Optional[np.ndarray] = None

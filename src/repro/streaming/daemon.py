@@ -53,6 +53,7 @@ from repro.resilience.supervisor import SupervisedEstimator
 from repro.routing.incremental import IncrementalRerouter, RerouteResult
 from repro.routing.routing_matrix import RoutingMatrix
 from repro.streaming.stream import PollRound, PollStream, CounterTracker
+from repro.topology.elements import pair_order
 
 __all__ = ["StreamRecord", "StreamingEstimator"]
 
@@ -238,17 +239,6 @@ class StreamingEstimator:
         self._rerouter: Optional[IncrementalRerouter] = None
         self._perm_cache: Optional[tuple[tuple[str, ...], np.ndarray]] = None
 
-        # Totals scatter structure (pair -> origin/destination rows).
-        pairs = routing.pairs
-        self._origins = tuple(dict.fromkeys(pair.origin for pair in pairs))
-        self._destinations = tuple(dict.fromkeys(pair.destination for pair in pairs))
-        origin_index = {name: idx for idx, name in enumerate(self._origins)}
-        destination_index = {name: idx for idx, name in enumerate(self._destinations)}
-        self._origin_cols = np.array([origin_index[pair.origin] for pair in pairs])
-        self._destination_cols = np.array(
-            [destination_index[pair.destination] for pair in pairs]
-        )
-
         # Mutable daemon state (everything below is checkpointed).
         self.rounds_seen = 0
         self.sequence = 0
@@ -343,7 +333,7 @@ class StreamingEstimator:
                 raise StreamingError(
                     "routing matrix carries no network; cannot apply reroutes"
                 )
-            self._rerouter = IncrementalRerouter(self.base_routing.network)
+            self._rerouter = IncrementalRerouter.from_routing(self.base_routing)
         return self._rerouter
 
     def apply_reroute(
@@ -371,9 +361,8 @@ class StreamingEstimator:
         ):
             raise StreamingError("rerouted matrix does not match the streamed mesh")
         affected = np.zeros(self.routing.num_pairs, dtype=bool)
-        pair_position = {pair: idx for idx, pair in enumerate(self.routing.pairs)}
-        for pair in result.rerouted:
-            affected[pair_position[pair]] = True
+        position = pair_order(self.routing.pairs).index
+        affected[[position[pair] for pair in result.rerouted]] = True
         self.routing = new_routing
         self.epoch += 1
         self.pending_invalid |= affected
@@ -395,12 +384,13 @@ class StreamingEstimator:
     ) -> EstimationProblem:
         origin_totals = destination_totals = None
         if lsp_rates is not None:
-            origin_vec = np.zeros(len(self._origins))
-            destination_vec = np.zeros(len(self._destinations))
-            np.add.at(origin_vec, self._origin_cols, lsp_rates)
-            np.add.at(destination_vec, self._destination_cols, lsp_rates)
-            origin_totals = dict(zip(self._origins, origin_vec.tolist()))
-            destination_totals = dict(zip(self._destinations, destination_vec.tolist()))
+            order = pair_order(self.routing.pairs)
+            origin_vec = np.zeros(len(order.origins))
+            destination_vec = np.zeros(len(order.destinations))
+            np.add.at(origin_vec, order.origin_cols, lsp_rates)
+            np.add.at(destination_vec, order.destination_cols, lsp_rates)
+            origin_totals = dict(zip(order.origins, origin_vec.tolist()))
+            destination_totals = dict(zip(order.destinations, destination_vec.tolist()))
         return EstimationProblem(
             routing=self.routing,
             link_loads=link_rates,

@@ -12,7 +12,7 @@ This package provides the data model every other subsystem builds on:
   subnetworks.
 """
 
-from repro.topology.elements import Link, LinkKind, Node, NodePair, NodeRole
+from repro.topology.elements import Link, LinkKind, Node, NodePair, NodeRole, PairOrder, pair_order
 from repro.topology.generators import (
     ABILENE_CITIES,
     AMERICAN_CITIES,
@@ -32,6 +32,8 @@ __all__ = [
     "Link",
     "LinkKind",
     "NodePair",
+    "PairOrder",
+    "pair_order",
     "Network",
     "CitySpec",
     "EUROPEAN_CITIES",

@@ -19,13 +19,20 @@ presence (PoP).  The data model therefore distinguishes three concepts:
 
 All elements are immutable value objects; the mutable container that ties
 them together is :class:`repro.topology.network.Network`.
+
+A routing matrix, the traffic matrices estimated over it and the problems
+built from it all share one pair tuple.  :func:`pair_order` indexes such a
+tuple once and hands every one of them the same :class:`PairOrder`.
 """
 
 from __future__ import annotations
 
 import enum
+import threading
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import NamedTuple, Optional
+
+import numpy as np
 
 from repro.errors import TopologyError
 
@@ -35,6 +42,8 @@ __all__ = [
     "Node",
     "Link",
     "NodePair",
+    "PairOrder",
+    "pair_order",
 ]
 
 
@@ -212,3 +221,62 @@ class NodePair:
 
     def __str__(self) -> str:  # pragma: no cover - trivial
         return f"{self.origin}->{self.destination}"
+
+
+class PairOrder(NamedTuple):
+    """Positions within one pair tuple.
+
+    ``index`` maps each pair to its position; ``origins`` and
+    ``destinations`` list the endpoint names in first-appearance order, and
+    ``origin_cols[p]`` / ``destination_cols[p]`` are the positions of pair
+    ``p``'s endpoints in them (read-only arrays).  A tuple holding a pair
+    twice gets an ``index`` shorter than the tuple.
+    """
+
+    index: dict[NodePair, int]
+    origins: tuple[str, ...]
+    destinations: tuple[str, ...]
+    origin_cols: np.ndarray
+    destination_cols: np.ndarray
+
+
+#: How many distinct pair tuples :func:`pair_order` keeps indexed.
+PAIR_ORDER_CACHE_SIZE = 8
+
+# id(pairs) -> (pairs, order), least recently used first.  Holding the
+# tuple keeps its id from being reused while the entry lives.
+_pair_orders: dict[int, tuple[tuple[NodePair, ...], PairOrder]] = {}
+_pair_orders_lock = threading.Lock()
+
+
+def pair_order(pairs: tuple[NodePair, ...]) -> PairOrder:
+    """The :class:`PairOrder` of ``pairs``, built once per tuple object.
+
+    Results are memoised by the identity of the tuple, so everything
+    indexed by one tuple (a routing matrix, the traffic matrices and
+    problems over it) shares one index instead of re-hashing every pair.
+    """
+    key = id(pairs)
+    with _pair_orders_lock:
+        cached = _pair_orders.pop(key, None)
+        if cached is None or cached[0] is not pairs:
+            cached = (pairs, _build_pair_order(pairs))
+        _pair_orders[key] = cached
+        if len(_pair_orders) > PAIR_ORDER_CACHE_SIZE:
+            del _pair_orders[next(iter(_pair_orders))]
+    return cached[1]
+
+
+def _build_pair_order(pairs: tuple[NodePair, ...]) -> PairOrder:
+    origins, origin_cols = _first_seen([pair.origin for pair in pairs])
+    destinations, destination_cols = _first_seen([pair.destination for pair in pairs])
+    index = {pair: position for position, pair in enumerate(pairs)}
+    return PairOrder(index, origins, destinations, origin_cols, destination_cols)
+
+
+def _first_seen(names: list[str]) -> tuple[tuple[str, ...], np.ndarray]:
+    """Distinct ``names`` in first-seen order, and each name's position among them."""
+    position: dict[str, int] = {}
+    cols = np.array([position.setdefault(name, len(position)) for name in names], dtype=np.intp)
+    cols.setflags(write=False)
+    return tuple(position), cols

@@ -24,7 +24,7 @@ from typing import Iterable, Iterator, Mapping, Optional, Sequence
 import numpy as np
 
 from repro.errors import TrafficError
-from repro.topology.elements import NodePair
+from repro.topology.elements import NodePair, pair_order
 from repro.topology.network import Network
 
 __all__ = ["TrafficMatrix", "TrafficMatrixSeries"]
@@ -44,7 +44,10 @@ class TrafficMatrix:
 
     def __init__(self, pairs: Sequence[NodePair], values: Iterable[float]) -> None:
         self.pairs = tuple(pairs)
-        vector = np.asarray(list(values), dtype=float)
+        if isinstance(values, np.ndarray):
+            vector = np.array(values, dtype=float)
+        else:
+            vector = np.asarray(list(values), dtype=float)
         if vector.ndim != 1:
             raise TrafficError("traffic matrix values must form a one-dimensional vector")
         if len(vector) != len(self.pairs):
@@ -53,11 +56,11 @@ class TrafficMatrix:
             )
         if np.any(vector < 0):
             raise TrafficError("traffic matrix values must be non-negative")
-        if len(set(self.pairs)) != len(self.pairs):
+        self._order = pair_order(self.pairs)
+        if len(self._order.index) != len(self.pairs):
             raise TrafficError("duplicate origin-destination pairs")
         self._values = vector
         self._values.setflags(write=False)
-        self._index = {pair: idx for idx, pair in enumerate(self.pairs)}
 
     # ------------------------------------------------------------------
     # constructors
@@ -101,7 +104,7 @@ class TrafficMatrix:
     def demand(self, pair: NodePair) -> float:
         """Demand of a single pair."""
         try:
-            return float(self._values[self._index[pair]])
+            return float(self._values[self._order.index[pair]])
         except KeyError as exc:
             raise TrafficError(f"pair {pair} not in traffic matrix") from exc
 
@@ -128,30 +131,26 @@ class TrafficMatrix:
 
     def origin_names(self) -> tuple[str, ...]:
         """Origins appearing in the pair ordering, in first-seen order."""
-        seen: dict[str, None] = {}
-        for pair in self.pairs:
-            seen.setdefault(pair.origin, None)
-        return tuple(seen)
+        return self._order.origins
 
     def destination_names(self) -> tuple[str, ...]:
         """Destinations appearing in the pair ordering, in first-seen order."""
-        seen: dict[str, None] = {}
-        for pair in self.pairs:
-            seen.setdefault(pair.destination, None)
-        return tuple(seen)
+        return self._order.destinations
 
     def origin_totals(self) -> dict[str, float]:
         """Total traffic entering the network at each origin (``t_e(n)``)."""
-        totals: dict[str, float] = {name: 0.0 for name in self.origin_names()}
-        for pair, value in zip(self.pairs, self._values):
-            totals[pair.origin] += float(value)
-        return totals
+        totals = self._sums(self._order.origin_cols, len(self._order.origins))
+        return dict(zip(self._order.origins, totals.tolist()))
 
     def destination_totals(self) -> dict[str, float]:
         """Total traffic exiting the network at each destination (``t_x(m)``)."""
-        totals: dict[str, float] = {name: 0.0 for name in self.destination_names()}
-        for pair, value in zip(self.pairs, self._values):
-            totals[pair.destination] += float(value)
+        totals = self._sums(self._order.destination_cols, len(self._order.destinations))
+        return dict(zip(self._order.destinations, totals.tolist()))
+
+    def _sums(self, cols: np.ndarray, count: int) -> np.ndarray:
+        # np.add.at accumulates in pair order, like a running Python sum.
+        totals = np.zeros(count)
+        np.add.at(totals, cols, self._values)
         return totals
 
     def to_dense(self) -> tuple[tuple[str, ...], np.ndarray]:
@@ -160,15 +159,14 @@ class TrafficMatrix:
         The diagonal is zero; node order is origins-first-seen, extended by
         destinations not already present.
         """
-        names = list(self.origin_names())
-        for name in self.destination_names():
-            if name not in names:
-                names.append(name)
+        order = self._order
+        names = tuple(dict.fromkeys(order.origins + order.destinations))
         index = {name: i for i, name in enumerate(names)}
+        rows = np.array([index[name] for name in order.origins], dtype=np.intp)
+        cols = np.array([index[name] for name in order.destinations], dtype=np.intp)
         dense = np.zeros((len(names), len(names)))
-        for pair, value in zip(self.pairs, self._values):
-            dense[index[pair.origin], index[pair.destination]] = value
-        return tuple(names), dense
+        dense[rows[order.origin_cols], cols[order.destination_cols]] = self._values
+        return names, dense
 
     # ------------------------------------------------------------------
     # normalised views (paper Section 3.2)
@@ -193,23 +191,15 @@ class TrafficMatrix:
         destinations, which keeps every per-origin fanout vector a proper
         probability distribution.
         """
-        origin_totals = self.origin_totals()
-        destinations_per_origin: dict[str, int] = {}
-        for pair in self.pairs:
-            destinations_per_origin[pair.origin] = destinations_per_origin.get(pair.origin, 0) + 1
-        fanouts: dict[NodePair, float] = {}
-        for pair, value in zip(self.pairs, self._values):
-            total = origin_totals[pair.origin]
-            if total > 0:
-                fanouts[pair] = float(value) / total
-            else:
-                fanouts[pair] = 1.0 / destinations_per_origin[pair.origin]
-        return fanouts
+        return dict(zip(self.pairs, self.fanout_vector().tolist()))
 
     def fanout_vector(self) -> np.ndarray:
-        """Fanouts in canonical pair order, as a vector."""
-        fanouts = self.fanouts()
-        return np.array([fanouts[pair] for pair in self.pairs])
+        """Fanouts in canonical pair order, as a vector (see :meth:`fanouts`)."""
+        cols = self._order.origin_cols
+        totals = self._sums(cols, len(self._order.origins))[cols]
+        uniform = 1.0 / np.bincount(cols)[cols]
+        positive = totals > 0
+        return np.where(positive, self._values / np.where(positive, totals, 1.0), uniform)
 
     # ------------------------------------------------------------------
     # demand ranking helpers (used by the MRE threshold rule)

@@ -118,7 +118,10 @@ class TestSharedWorkspace:
 
     def test_pair_positions_cached(self, scenario):
         problem = scenario.snapshot_problem()
-        assert problem.pair_positions() is problem.pair_positions()
+        other = scenario.snapshot_problem()
+        # Every problem over one routing matrix shares one set of arrays.
+        for mine, theirs in zip(problem.pair_positions(), other.pair_positions()):
+            assert mine is theirs
         origins, destinations, origin_cols, destination_cols = problem.pair_positions()
         assert origins == problem.origin_order()
         assert destinations == problem.destination_order()

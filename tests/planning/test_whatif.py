@@ -13,7 +13,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.datasets import abilene_scenario, europe_scenario
+from repro.datasets import abilene_scenario, america_scenario, europe_scenario
 from repro.planning import (
     BASELINE,
     FailureCase,
@@ -21,7 +21,11 @@ from repro.planning import (
     enumerate_failures,
     full_rebuild_routing,
 )
-from repro.routing import IncrementalRerouter, build_routing_matrix
+from repro.routing import (
+    IncrementalRerouter,
+    build_ecmp_routing_matrix,
+    build_routing_matrix,
+)
 from repro.topology.elements import NodePair
 
 
@@ -68,11 +72,14 @@ class TestIncrementalRerouter:
 
     def test_only_affected_pairs_rerouted(self, dumbbell_network):
         rerouter = IncrementalRerouter(dumbbell_network)
-        result = rerouter.reroute(failed_links=("A->B",))
+        matrix, result = rerouter.reroute_matrix(failed_links=("A->B",))
         assert NodePair("A", "B") in result.rerouted
         # Demands inside the other triangle never touched A->B.
         assert NodePair("D", "E") not in result.rerouted
-        assert result.paths[NodePair("D", "E")] is rerouter.base_paths[NodePair("D", "E")]
+        np.testing.assert_array_equal(
+            matrix.pair_column(NodePair("D", "E")),
+            rerouter.base_matrix.pair_column(NodePair("D", "E")),
+        )
 
     def test_bridge_failure_reports_infeasible_pairs(self, dumbbell_network):
         rerouter = IncrementalRerouter(dumbbell_network)
@@ -145,10 +152,10 @@ class TestIncrementalRerouter:
         bandwidths[NodePair("S", "T")] = 90.0
         bandwidths[NodePair("X", "Y")] = 90.0
         rerouter = IncrementalRerouter(network, bandwidths=bandwidths)
-        st_path = rerouter.base_paths[NodePair("S", "T")]
-        xy_path = rerouter.base_paths[NodePair("X", "Y")]
+        st_links = np.flatnonzero(rerouter.base_matrix.pair_column(NodePair("S", "T")))
+        xy_links = np.flatnonzero(rerouter.base_matrix.pair_column(NodePair("X", "Y")))
         # Both demands need 90 of 100 Mbit/s: their paths cannot share a link.
-        assert not (set(st_path.link_names()) & set(xy_path.link_names()))
+        assert not (set(st_links) & set(xy_links))
 
 
 class TestWhatIfEngine:
@@ -207,3 +214,90 @@ class TestWhatIfEngine:
         np.testing.assert_array_equal(
             engine.base_routing.matrix, dumbbell_scenario.routing.matrix
         )
+
+
+def failure_cases(network):
+    return enumerate_failures(network, kinds=("link", "node"))
+
+
+def banned_rows(network, case):
+    """Rows of the failed links and of every link incident to a failed node."""
+    names = set(case.failed_links)
+    for node in case.failed_nodes:
+        names.update(link.name for link in network.outgoing_links(node))
+        names.update(link.name for link in network.incoming_links(node))
+    return [network.link_index(name) for name in names]
+
+
+class TestFromRoutingParity:
+    """A rerouter over a scenario's routing matrix matches a full rebuild."""
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            europe_scenario,
+            # ~25 s, nearly all of it in the from-scratch reference rebuilds.
+            pytest.param(america_scenario, marks=pytest.mark.slow),
+            abilene_scenario,
+        ],
+        ids=lambda build: build.__name__,
+    )
+    def test_every_single_link_and_node_failure(self, build):
+        scenario = build()
+        network, base = scenario.network, scenario.routing
+        rerouter = IncrementalRerouter.from_routing(base)
+        routed = IncrementalRerouter(network)
+        for case in failure_cases(network):
+            matrix, result = rerouter.reroute_matrix(case.failed_links, case.failed_nodes)
+            full, infeasible = full_rebuild_routing(network, case)
+            np.testing.assert_array_equal(matrix.matrix, full.matrix, err_msg=case.name)
+            assert result.infeasible == infeasible, case.name
+            touched = np.flatnonzero(base.matrix[banned_rows(network, case)].any(axis=0))
+            assert result.rerouted == tuple(base.pairs[col] for col in touched), case.name
+            _, reference = routed.reroute_matrix(case.failed_links, case.failed_nodes)
+            assert result.rerouted == reference.rerouted, case.name
+            assert result.infeasible == reference.infeasible, case.name
+            assert matrix.pairs is base.pairs
+
+    def test_requires_a_network(self, dumbbell_network):
+        from repro.errors import RoutingError
+        from repro.routing import RoutingMatrix
+
+        base = build_routing_matrix(dumbbell_network)
+        bare = RoutingMatrix(base.matrix, base.link_names, base.pairs)
+        with pytest.raises(RoutingError):
+            IncrementalRerouter.from_routing(bare)
+
+    def test_ecmp_base_keeps_fractional_columns(self):
+        # Square A-B-D / A-C-D splits A->D (and A->E through D) over two
+        # equal-cost paths; the detour C->E is longer.  Failing D->E moves
+        # only the pairs that crossed it.
+        from repro.topology import Link, Network, Node
+
+        network = Network("square")
+        for name in ("A", "B", "C", "D", "E"):
+            network.add_node(Node(name=name))
+        for a, b, metric in (
+            ("A", "B", 1.0), ("B", "D", 1.0), ("A", "C", 1.0),
+            ("C", "D", 1.0), ("D", "E", 1.0), ("C", "E", 5.0),
+        ):
+            network.add_bidirectional_link(
+                Link(source=a, target=b, capacity_mbps=100.0, metric=metric)
+            )
+        base = build_ecmp_routing_matrix(network)
+        rerouter = IncrementalRerouter.from_routing(base)
+        matrix, result = rerouter.reroute_matrix(failed_links=("D->E",))
+
+        split = NodePair("A", "D")
+        assert split not in result.rerouted
+        assert set(base.pair_column(split)) == {0.0, 0.5}
+        moved = np.zeros(base.num_pairs, dtype=bool)
+        moved[[base.pair_index(pair) for pair in result.rerouted]] = True
+        assert moved[base.pair_index(NodePair("A", "E"))]
+        np.testing.assert_array_equal(matrix.matrix[:, ~moved], base.matrix[:, ~moved])
+        # The rerouted A->E takes the single surviving shortest path A-C-E.
+        rerouted = matrix.pair_column(NodePair("A", "E"))
+        assert set(np.flatnonzero(rerouted)) == {
+            network.link_index("A->C"), network.link_index("C->E")
+        }
+        assert set(rerouted) == {0.0, 1.0}

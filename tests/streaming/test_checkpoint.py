@@ -169,6 +169,35 @@ class TestCheckpointRoundtrip:
             stream_scenario.routing
         )
 
+    def test_reroute_and_restore_never_route_the_intact_mesh(
+        self, stream_scenario, collector_factory, tmp_path, monkeypatch
+    ):
+        # The rerouter reads the base routing matrix; routing the whole
+        # mesh again, in the reroute or in the restore's replay, is a bug.
+        from repro.routing.shortest_path import ShortestPathRouter
+
+        def refuse(self, *args, **kwargs):
+            raise AssertionError("the intact mesh was routed again")
+
+        monkeypatch.setattr(ShortestPathRouter, "route_all", refuse)
+        stream = PollStream.from_collector(collector_factory(), stream_scenario.day_series)
+        daemon = make_daemon(collector_factory, None)
+        iterator = daemon.run(stream)
+        for _ in range(3):
+            next(iterator)
+        result = daemon.apply_reroute(failed_links=[stream_scenario.routing.link_names[0]])
+        assert result.rerouted
+        assert daemon.routing.pairs is stream_scenario.routing.pairs
+        next(iterator)
+
+        path = tmp_path / "rerouted.ckpt"
+        daemon.checkpoint(str(path))
+        restored = StreamingEstimator.restore(str(path), stream_scenario.routing)
+        assert routing_fingerprint(restored.routing) == routing_fingerprint(daemon.routing)
+        assert [record.payload_line() for record in restored.run(stream)] == [
+            record.payload_line() for record in iterator
+        ]
+
 
 class TestCheckpointValidation:
     def _checkpoint(self, stream_scenario, collector_factory, path):

@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.errors import TopologyError
-from repro.topology import Link, LinkKind, Node, NodePair, NodeRole
+from repro.topology import Link, LinkKind, Node, NodePair, NodeRole, pair_order
 
 
 class TestNode:
@@ -102,3 +102,69 @@ class TestNodePair:
     def test_pairs_are_hashable(self):
         pairs = {NodePair("A", "B"), NodePair("B", "A"), NodePair("A", "B")}
         assert len(pairs) == 2
+
+
+class TestPairOrder:
+    PAIRS = (NodePair("B", "A"), NodePair("A", "C"), NodePair("B", "C"), NodePair("C", "A"))
+
+    def test_positions(self):
+        order = pair_order(self.PAIRS)
+        assert order.index == {pair: position for position, pair in enumerate(self.PAIRS)}
+        assert order.origins == ("B", "A", "C")
+        assert order.destinations == ("A", "C")
+        assert order.origin_cols.tolist() == [0, 1, 0, 2]
+        assert order.destination_cols.tolist() == [0, 1, 1, 0]
+        assert not order.origin_cols.flags.writeable
+        assert not order.destination_cols.flags.writeable
+
+    def test_memoised_by_tuple_identity(self):
+        assert pair_order(self.PAIRS) is pair_order(self.PAIRS)
+        equal_copy = tuple(list(self.PAIRS))
+        assert pair_order(equal_copy) is not pair_order(self.PAIRS)
+        assert pair_order(equal_copy).index == pair_order(self.PAIRS).index
+
+    def test_memo_is_bounded(self):
+        from repro.topology import elements
+
+        kept = pair_order(self.PAIRS)
+        for _ in range(2 * elements.PAIR_ORDER_CACHE_SIZE):
+            pair_order(tuple(list(self.PAIRS)))
+        assert len(elements._pair_orders) <= elements.PAIR_ORDER_CACHE_SIZE
+        assert pair_order(self.PAIRS) is not kept
+
+    def test_duplicates_shorten_the_index(self):
+        pairs = (NodePair("A", "B"), NodePair("A", "B"))
+        assert len(pair_order(pairs).index) == 1
+
+    def test_concurrent_lookups_stay_correct_and_bounded(self):
+        # More tuples than the memo holds, so threads evict each other's entries.
+        import sys
+        import threading
+
+        from repro.topology import elements
+
+        tuples = [tuple(NodePair(f"o{i}", f"d{j}") for j in range(50)) for i in range(12)]
+        errors: list[BaseException] = []
+
+        def work(offset):
+            try:
+                for step in range(200):
+                    pairs = tuples[(offset + step) % len(tuples)]
+                    order = pair_order(pairs)
+                    assert order.index[pairs[-1]] == 49 and order.origins == (pairs[0].origin,)
+            except BaseException as exc:  # surfaced by the assertion below
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(k,)) for k in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert not errors
+        assert len(elements._pair_orders) <= elements.PAIR_ORDER_CACHE_SIZE

@@ -45,6 +45,28 @@ class TestConstruction:
         with pytest.raises(TrafficError):
             TrafficMatrix((NodePair("A", "B"), NodePair("A", "B")), [1, 2])
 
+    def test_duplicate_pairs_rejected_on_every_construction(self):
+        # The pair index is memoised per tuple; the check must not be.
+        pairs = (NodePair("A", "B"), NodePair("B", "A"), NodePair("A", "B"))
+        for _ in range(3):
+            with pytest.raises(TrafficError, match="duplicate"):
+                TrafficMatrix(pairs, [1, 2, 3])
+
+    def test_matrices_over_one_tuple_share_one_index(self):
+        first = TrafficMatrix(PAIRS, np.arange(6.0))
+        second = first.with_values(np.ones(6))
+        third = TrafficMatrix(PAIRS, [0, 1, 2, 3, 4, 5])
+        assert first._order.index is second._order.index is third._order.index
+        assert first.origin_names() is third.origin_names()
+
+    def test_ndarray_values_are_copied(self):
+        values = np.arange(6, dtype=np.float32)
+        tm = TrafficMatrix(PAIRS, values)
+        values[0] = 99.0
+        assert tm.vector[0] == 0.0
+        assert tm.vector.dtype == np.float64
+        assert not tm.vector.flags.writeable
+
     def test_from_mapping_fills_missing_with_zero(self):
         tm = TrafficMatrix.from_mapping(PAIRS, {NodePair("A", "B"): 7.0})
         assert tm.demand(NodePair("A", "B")) == 7.0
@@ -111,6 +133,38 @@ class TestAggregates:
         vector = tm.fanout_vector()
         fanouts = tm.fanouts()
         assert np.allclose(vector, [fanouts[pair] for pair in PAIRS])
+
+
+    def test_vectorised_views_equal_the_loop_reference(self):
+        # Same additions in the same order as a per-pair Python loop, so
+        # the results must be bit-identical, zero-traffic origins included.
+        names = ("A", "B", "C", "D", "E")
+        pairs = tuple(NodePair(a, b) for a in names for b in names if a != b)
+        values = np.random.default_rng(5).random(len(pairs)) * 100.0
+        values[[pair.origin == "C" for pair in pairs]] = 0.0
+        tm = TrafficMatrix(pairs, values)
+
+        origin_totals = {name: 0.0 for name in names}
+        destination_totals = {name: 0.0 for name in names}
+        for pair, value in zip(pairs, values):
+            origin_totals[pair.origin] += float(value)
+            destination_totals[pair.destination] += float(value)
+        fanouts = {
+            pair: float(value) / origin_totals[pair.origin]
+            if origin_totals[pair.origin] > 0
+            else 1.0 / (len(names) - 1)
+            for pair, value in zip(pairs, values)
+        }
+        dense = np.zeros((len(names), len(names)))
+        for pair, value in zip(pairs, values):
+            dense[names.index(pair.origin), names.index(pair.destination)] = value
+
+        assert tm.origin_totals() == origin_totals
+        assert tm.destination_totals() == destination_totals
+        assert tm.fanouts() == fanouts
+        assert tm.fanout_vector().tolist() == [fanouts[pair] for pair in pairs]
+        assert tm.to_dense()[0] == names
+        np.testing.assert_array_equal(tm.to_dense()[1], dense)
 
 
 class TestRankingHelpers:
