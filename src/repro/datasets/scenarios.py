@@ -230,9 +230,9 @@ class Scenario:
     # planning
     # ------------------------------------------------------------------
     def planning(self, utilisation_threshold: float = 0.9) -> "WhatIfEngine":
-        """A :class:`~repro.planning.whatif.WhatIfEngine` over this network.
+        """A :class:`~repro.planning.whatif.WhatIfEngine` over this scenario's routing.
 
-        The engine routes the mesh once and answers failure what-ifs
+        The engine adopts :attr:`routing` and answers failure what-ifs
         incrementally; project the scenario's true busy-period mean, any
         estimate, or a grown matrix through its failure cases::
 
@@ -245,7 +245,7 @@ class Scenario:
         """
         from repro.planning.whatif import WhatIfEngine
 
-        return WhatIfEngine(self.network, utilisation_threshold=utilisation_threshold)
+        return WhatIfEngine.from_routing(self.routing, utilisation_threshold=utilisation_threshold)
 
     # ------------------------------------------------------------------
     # descriptive statistics used by the data-analysis figures

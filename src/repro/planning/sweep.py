@@ -13,7 +13,7 @@ runner uses) it
    recorded as structured reasons);
 2. pushes both the truth and the estimate through every failure case's
    surviving topology via the incremental
-   :class:`~repro.planning.whatif.WhatIfEngine`;
+   :class:`~repro.planning.whatif.WhatIfEngine` over the scenario's routing;
 3. records, per ``(method, case)``, the utilisation numbers a planner would
    compare: predicted vs true maximum utilisation, per-link utilisation
    error, and the congestion-set confusion counts.
@@ -276,7 +276,7 @@ def failure_sweep(
         cases = enumerate_failures(
             scenario.network, kinds=("link",), include_baseline=include_baseline
         )
-    engine = WhatIfEngine(scenario.network, utilisation_threshold=utilisation_threshold)
+    engine = WhatIfEngine.from_routing(scenario.routing, utilisation_threshold)
 
     jobs = effective_jobs(n_jobs, len(cases), error=PlanningError)
     state_ref = share_payload((engine, scenario.name, estimates, growth))

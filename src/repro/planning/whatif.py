@@ -3,7 +3,8 @@
 :class:`WhatIfEngine` is the stateful heart of the planning subsystem.  It
 owns one base topology, routes the LSP mesh over it **once** (via the
 incremental rerouter, CSPF when LSP bandwidths are given, IGP shortest path
-otherwise), and then answers failure questions cheaply:
+otherwise) or adopts a routed one (:meth:`WhatIfEngine.from_routing`), and
+then answers failure questions cheaply:
 
 * :meth:`routing_for` — the post-failure routing matrix of a case,
   rebuilt incrementally (only demands whose path traversed the failed
@@ -69,13 +70,33 @@ class WhatIfEngine:
         utilisation_threshold: float = 0.9,
         cache_size: int = 1024,
     ) -> None:
+        rerouter = IncrementalRerouter(network, bandwidths=bandwidths)
+        self._adopt(rerouter, utilisation_threshold, cache_size)
+
+    @classmethod
+    def from_routing(
+        cls,
+        routing: RoutingMatrix,
+        utilisation_threshold: float = 0.9,
+        cache_size: int = 1024,
+    ) -> "WhatIfEngine":
+        """IGP engine over a routing matrix that carries its ``network``.
+
+        Nothing is routed again, and post-failure matrices keep the matrix's
+        pair tuple, so projections share it with the traffic over it.
+        """
+        engine = cls.__new__(cls)
+        engine._adopt(IncrementalRerouter.from_routing(routing), utilisation_threshold, cache_size)
+        return engine
+
+    def _adopt(self, rerouter: IncrementalRerouter, threshold: float, cache_size: int) -> None:
         if cache_size < 1:
             raise PlanningError("cache_size must be at least 1")
-        self.network = network
-        self.utilisation_threshold = float(utilisation_threshold)
-        self.rerouter = IncrementalRerouter(network, bandwidths=bandwidths)
+        self.network = rerouter.network
+        self.utilisation_threshold = float(threshold)
+        self.rerouter = rerouter
         self._capacities = np.array(
-            [link.capacity_mbps for link in network.links], dtype=float
+            [link.capacity_mbps for link in self.network.links], dtype=float
         )
         self._cache_size = cache_size
         self._case_cache: dict[

@@ -9,22 +9,24 @@ and the deterministic lexicographic tie-breaking keeps the same winner).
 
 :class:`IncrementalRerouter` exploits that: it reads the base routing matrix
 instead of routing the mesh again.  The CSR rows of the failed links name
-the affected pairs, and for each failure case Dijkstra re-runs only for
-those — over the *base* network with the failed elements excluded, so no
+the affected pairs, and for each failure case only those are re-routed —
+over the *base* network with the failed elements masked out, so no
 per-case topology object is ever constructed.  The post-failure routing
 matrix is likewise rebuilt incrementally: the base coordinates are kept
 and only the affected columns are replaced.
 
-With per-LSP ``bandwidths`` the rerouter mimics RSVP-TE repair: the
-reservations of the torn-down LSPs are released and the affected LSPs are
-re-signalled in descending bandwidth order against the surviving
-reservation state (falling back to the unconstrained shortest path exactly
-like non-strict :class:`~repro.routing.cspf.CSPFRouter`).  In the default
-zero-bandwidth (pure IGP) mode the incremental result is *identical* to a
-from-scratch re-signal of the surviving topology; with non-zero bandwidths
-the signalling order of the unaffected LSPs differs from a global
-re-optimisation, as it would on a real network where established tunnels
-stay put.
+In the default zero-bandwidth (pure IGP) mode a case costs one
+``scipy.sparse.csgraph.dijkstra`` call over the affected origins on the
+network's cached, masked ``graph_view``, and the result — paths and costs
+included — is *identical* to a from-scratch re-signal of the surviving
+topology.  With per-LSP ``bandwidths`` the rerouter mimics RSVP-TE repair
+with one python Dijkstra per LSP: the reservations of the torn-down LSPs
+are released and the affected LSPs are re-signalled in descending
+bandwidth order against the surviving reservation state (falling back to
+the unconstrained shortest path exactly like non-strict
+:class:`~repro.routing.cspf.CSPFRouter`); the signalling order of the
+unaffected LSPs then differs from a global re-optimisation, as it would on
+a real network where established tunnels stay put.
 
 Demands whose endpoints fail, or that a partition leaves with no surviving
 path, are reported as *infeasible* (``None`` paths / all-zero routing
@@ -44,7 +46,7 @@ from repro.errors import RoutingError
 from repro.routing.cspf import CSPFRouter
 from repro.routing.lsp import LSPMesh
 from repro.routing.routing_matrix import RoutingMatrix, build_routing_matrix
-from repro.routing.shortest_path import Path, constrained_dijkstra
+from repro.routing.shortest_path import Path, _csgraph_routes, constrained_dijkstra
 from repro.topology.elements import Link, NodePair, pair_order
 from repro.topology.network import Network
 
@@ -91,7 +93,9 @@ class IncrementalRerouter:
     (with their values, so a fractional ECMP base keeps its splits in the
     unaffected columns) seed the post-failure rebuild.
     :meth:`from_routing` adopts an existing matrix without routing
-    anything; the constructor routes the mesh itself.
+    anything; the constructor routes the mesh itself.  An IGP failure case
+    costs one masked csgraph Dijkstra; CSPF repair one python Dijkstra per
+    affected LSP.
 
     Parameters
     ----------
@@ -151,10 +155,13 @@ class IncrementalRerouter:
         self.bandwidths = bandwidths
         self._base_paths = paths
         self._pair_position = pair_order(self.pairs).index
-        # Rows of the failed links -> affected pairs; coordinates -> rebuilds.
-        self._by_link = scipy.sparse.csr_matrix(routing.native)
-        coo = self._by_link.tocoo()
-        self._base_rows, self._base_cols, self._base_data = coo.row, coo.col, coo.data
+        # Rows of the failed links -> affected pairs; the canonical CSR ->
+        # rebuilds (copied first: csr_matrix shares the routing's arrays).
+        by_link = scipy.sparse.csr_matrix(routing.native)
+        if not by_link.has_canonical_format:
+            by_link = by_link.copy()
+            by_link.sum_duplicates()
+        self._by_link = by_link
         # Which LSPs actually hold a reservation: non-strict CSPF routes an
         # unplaceable LSP along the unconstrained shortest path *without*
         # reserving bandwidth, so the repair path must not release for it.
@@ -224,15 +231,11 @@ class IncrementalRerouter:
         available: Optional[dict[str, float]] = None,
         bandwidth: float = 0.0,
     ) -> Optional[Path]:
-        """Dijkstra over the surviving elements, same tie-breaking as the base.
+        """Python Dijkstra over the surviving elements (CSPF and fallback path).
 
-        This runs the shared
-        :func:`~repro.routing.shortest_path.constrained_dijkstra` with the
-        failed links/nodes filtered out, so a surviving pair gets exactly
-        the path a from-scratch rebuild of the surviving topology would
-        give it.  With ``available`` it also skips links with less
-        unreserved bandwidth than ``bandwidth`` (the CSPF admission test);
-        returns ``None`` when the destination is unreachable.
+        With ``available`` it also skips links with less unreserved
+        bandwidth than ``bandwidth`` (the CSPF admission test); returns
+        ``None`` when the destination is unreachable.
         """
 
         def usable(link: Link) -> bool:
@@ -261,10 +264,25 @@ class IncrementalRerouter:
         banned_links, banned_nodes = self._expand_failed(failed_links, failed_nodes)
         affected = self._affected_from(banned_links)
         paths: dict[NodePair, Optional[Path]] = dict.fromkeys(affected)
-        infeasible: list[NodePair] = []
+        live = [pair for pair in affected if not {pair.origin, pair.destination} & banned_nodes]
+
+        routes = None
+        if live and not self.bandwidths:
+            # IGP: one masked csgraph Dijkstra over every affected origin.
+            usable = np.ones(self.network.num_links, dtype=bool)
+            usable[[self.network.link_index(name) for name in banned_links]] = False
+            wanted: dict[str, list[str]] = {}
+            for pair in live:
+                wanted.setdefault(pair.origin, []).append(pair.destination)
+            metrics = self.network.graph_view().metrics
+            routes = _csgraph_routes(self.network, wanted, metrics, usable)
+        if routes is not None:
+            for pair in live:
+                route = routes[pair.origin].get(pair.destination)
+                paths[pair] = None if route is None else Path(pair, *route)
+            live = []  # nothing left for the python Dijkstra below
 
         available: Optional[dict[str, float]] = None
-        order = affected
         if self.bandwidths:
             # RSVP-TE repair: release the torn-down reservations — only for
             # LSPs that actually hold one; non-strict fallbacks reserved
@@ -280,17 +298,9 @@ class IncrementalRerouter:
                 name: self.network.link(name).capacity_mbps - reserved[name]
                 for name in self.network.link_names
             }
-            order = tuple(
-                sorted(
-                    affected,
-                    key=lambda pair: (-self.bandwidths.get(pair, 0.0), str(pair)),
-                )
-            )
+            live.sort(key=lambda pair: (-self.bandwidths.get(pair, 0.0), str(pair)))
 
-        for pair in order:
-            if pair.origin in banned_nodes or pair.destination in banned_nodes:
-                infeasible.append(pair)
-                continue
+        for pair in live:
             bandwidth = self.bandwidths.get(pair, 0.0)
             path = self._shortest_path_excluding(
                 pair, banned_links, banned_nodes, available=available, bandwidth=bandwidth
@@ -300,21 +310,17 @@ class IncrementalRerouter:
                 # shortest path without reserving bandwidth.
                 path = self._shortest_path_excluding(pair, banned_links, banned_nodes)
                 bandwidth = 0.0
-            if path is None:
-                infeasible.append(pair)
-                continue
-            if available is not None and bandwidth > 0.0:
+            if available is not None and path is not None and bandwidth > 0.0:
                 for link in path.links:
                     available[link.name] -= bandwidth
             paths[pair] = path
 
-        infeasible.sort(key=self._pair_position.__getitem__)
         return RerouteResult(
             failed_links=tuple(sorted(set(failed_links))),
             failed_nodes=tuple(sorted(set(failed_nodes))),
             paths=paths,
             rerouted=affected,
-            infeasible=tuple(infeasible),
+            infeasible=tuple(pair for pair, path in paths.items() if path is None),
         )
 
     def reroute_matrix(
@@ -339,7 +345,15 @@ class IncrementalRerouter:
 
         moved = np.zeros(len(self.pairs), dtype=bool)
         moved[[self._pair_position[pair] for pair in result.rerouted]] = True
-        keep = ~moved[self._base_cols]
+        # Drop the moved columns' entries row by row; both summands are
+        # canonical, so their sum is the canonical post-failure CSR.
+        by_link = self._by_link
+        keep = ~moved[by_link.indices]
+        kept_before = np.concatenate(([0], np.cumsum(keep)))
+        kept = scipy.sparse.csr_matrix(
+            (by_link.data[keep], by_link.indices[keep], kept_before[by_link.indptr]),
+            shape=base.shape,
+        )
         new_rows: list[int] = []
         new_cols: list[int] = []
         for pair, path in result.paths.items():
@@ -349,11 +363,10 @@ class IncrementalRerouter:
             for link in path.links:
                 new_rows.append(self.network.link_index(link.name))
                 new_cols.append(col)
-        rows = np.concatenate([self._base_rows[keep], np.asarray(new_rows, dtype=np.intp)])
-        cols = np.concatenate([self._base_cols[keep], np.asarray(new_cols, dtype=np.intp)])
-        data = np.concatenate([self._base_data[keep], np.ones(len(new_rows))])
-        coo = scipy.sparse.coo_matrix((data, (rows, cols)), shape=base.shape)
+        routed = scipy.sparse.coo_matrix(
+            (np.ones(len(new_rows)), (new_rows, new_cols)), shape=base.shape
+        ).tocsr()
         matrix = RoutingMatrix(
-            coo, base.link_names, self.pairs, network=self.network, backend=backend
+            kept + routed, base.link_names, self.pairs, network=self.network, backend=backend
         )
         return matrix, result

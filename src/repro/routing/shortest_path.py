@@ -20,7 +20,9 @@ from __future__ import annotations
 import heapq
 import warnings
 from dataclasses import dataclass
-from typing import Callable, Iterator, Optional, Sequence
+from typing import Callable, Iterator, Mapping, Optional, Sequence
+
+import numpy as np
 
 from repro import telemetry
 from repro.errors import RoutingError
@@ -122,12 +124,16 @@ def _dijkstra_sweep(
     heap: list[tuple[float, tuple[str, ...], str]] = [(0.0, (origin,), origin)]
     visited: set[str] = set()
     while heap:
-        cost, _, node = heapq.heappop(heap)
+        _, _, node = heapq.heappop(heap)
         if node in visited:
             continue
         visited.add(node)
         if node == target:
             break
+        # Relax from the recorded route's cost, not the popped one: an
+        # equal-cost, lexicographically smaller route may have replaced the
+        # route that was pushed, and a path's cost must be its links' sum.
+        cost = best_cost[node]
         for link in network.outgoing_links(node):
             if usable is not None and not usable(link):
                 continue
@@ -157,17 +163,16 @@ def constrained_dijkstra(
 ) -> Optional[Path]:
     """Deterministic Dijkstra with an optional link filter.
 
-    This is the *single* shortest-path implementation of the routing
+    This is the python shortest-path implementation of the routing
     substrate: :class:`ShortestPathRouter` (IGP),
     :class:`~repro.routing.cspf.CSPFRouter` (bandwidth admission via
-    ``usable``) and :class:`~repro.routing.incremental.IncrementalRerouter`
-    (failure exclusion via ``usable``) all call it, and
+    ``usable``) and the CSPF repair of
+    :class:`~repro.routing.incremental.IncrementalRerouter` call it, and
     :func:`single_source_shortest_paths` runs the same sweep without the
-    early exit.  Sharing one implementation (:func:`_dijkstra_sweep`) is
-    what makes incremental reroute provably identical to a from-scratch
-    rebuild and batched routing identical to the per-pair loop:
-    tie-breaking — the lexicographically smallest node sequence among
-    equal-cost paths — cannot drift between callers.
+    early exit.  The compiled engine (:func:`_csgraph_routes`) rebuilds
+    exactly the routes of :func:`_dijkstra_sweep`, so tie-breaking — the
+    lexicographically smallest node sequence among equal-cost paths —
+    cannot drift between callers.
 
     Returns ``None`` when the destination is unreachable over the usable
     links (callers decide whether that is an error, a fallback, or an
@@ -225,132 +230,100 @@ def _load_csgraph():
     return csgraph
 
 
-def _csgraph_trees(
+Routes = dict[str, dict[str, tuple[tuple[str, ...], tuple[Link, ...], float]]]
+
+
+def _csgraph_routes(
     network: Network,
-    origins: Sequence[str],
-    link_cost: Callable[[Link], float],
-) -> dict[str, dict[str, tuple[tuple[str, ...], tuple[Link, ...], float]]]:
-    """Batched shortest-path trees via one vectorised csgraph Dijkstra.
+    wanted: Mapping[str, Sequence[str]],
+    weights: np.ndarray,
+    usable: Optional[np.ndarray] = None,
+) -> Optional[Routes]:
+    """Routes of many origins from one vectorised csgraph Dijkstra.
 
-    Computes all origin rows of the distance matrix in a single
-    ``scipy.sparse.csgraph.dijkstra`` call over the network's adjacency
-    CSR, then reconstructs, per origin, exactly the routes the python
-    sweep would record: among equal-cost paths the lexicographically
-    smallest node sequence, and among parallel equal-cost links the first
-    in insertion order.  Returns ``{origin: {destination: (nodes, links,
-    cost)}}`` in the same shape as :func:`single_source_shortest_paths`.
+    ``wanted`` maps each origin to the destinations to route; ``weights``
+    and ``usable`` (optional mask) are per link.  Returns ``{origin:
+    {destination: (nodes, links, cost)}}``, exactly as :func:`_dijkstra_sweep`
+    records them, unreachable destinations left out — or ``None``, after a
+    ``RuntimeWarning``, when scipy lacks csgraph or its distances cannot be
+    reconciled; callers then run the python sweep.
 
-    Raises :class:`~repro.errors.RoutingError` when reconstruction cannot
-    reproduce the distances (e.g. a scipy build whose tie handling
-    diverges); callers treat that as "fall back to the python sweep".
+    A node's route extends that of one of its *tight* predecessors (on a
+    shortest path of the distance row), resolved first by a memoised walk
+    back.  Only at a tie are full candidate sequences compared (predecessor
+    route plus the node: a route that is a proper prefix of another sorts
+    first alone, not always once extended), and the first of parallel
+    tight links wins.  Costs are summed link by link.
     """
-    csgraph = _load_csgraph()
-    import numpy as np
-    from scipy import sparse
-
-    names = network.node_names
-    index = {name: position for position, name in enumerate(names)}
-    num_nodes = len(names)
-
-    # Incoming-edge lists in link insertion order (drives the
-    # parallel-link tie-break) plus the min-cost adjacency used for the
-    # distance computation.
-    incoming: list[list[tuple[int, Link, float]]] = [[] for _ in range(num_nodes)]
-    best_weight: dict[tuple[int, int], float] = {}
-    for link in network.links:
-        source = index[link.source]
-        target = index[link.target]
-        weight = link_cost(link)
-        if not weight > 0.0:
-            raise RoutingError(
-                f"link {link.name!r} has non-positive cost {weight!r}; "
-                "csgraph routing requires strictly positive costs"
-            )
-        incoming[target].append((source, link, weight))
-        key = (source, target)
-        if key not in best_weight or weight < best_weight[key]:
-            best_weight[key] = weight
-    if best_weight:
-        rows, cols = zip(*best_weight.keys())
-        data = [best_weight[key] for key in best_weight]
-    else:
-        rows, cols, data = (), (), ()
-    adjacency = sparse.csr_matrix(
-        (np.asarray(data, dtype=np.float64), (rows, cols)),
-        shape=(num_nodes, num_nodes),
-    )
-
-    origin_indices = [index[origin] for origin in origins]
+    try:
+        csgraph = _load_csgraph()
+    except (ImportError, AttributeError) as exc:
+        return _csgraph_unavailable(str(exc))
+    view = network.graph_view()
+    names, links = view.names, network.links
+    sources, costs = view.sources.tolist(), weights.tolist()
+    origins = list(wanted)
     distances = np.atleast_2d(
-        csgraph.dijkstra(adjacency, directed=True, indices=origin_indices)
+        csgraph.dijkstra(
+            view.adjacency(weights, usable),
+            directed=True,
+            indices=[view.index[origin] for origin in origins],
+        )
     )
-    return {
-        origin: _reconstruct_tree(names, incoming, index[origin], distances[row])
-        for row, origin in enumerate(origins)
-    }
+    routes: Routes = {}
+    for origin, row in zip(origins, distances):
+        # Unreachable sources are masked before subtracting (inf - inf).
+        reached = np.isfinite(row[view.sources])
+        if usable is not None:
+            reached &= usable
+        start = np.where(reached, row[view.sources], 0.0)
+        end = np.where(reached, row[view.targets], 0.0)
+        tight = (
+            reached & (start < end) & (np.abs(start + weights - end) <= _TIE_TOLERANCE)
+        ).tolist()
+        home = view.index[origin]
+        tree = {home: ((origin,), (), 0.0)}
+        targets = [view.index[name] for name in wanted[origin]]
+        targets = [node for node in targets if node != home and np.isfinite(row[node])]
+        for target in targets:
+            stack = [target]
+            while stack:
+                node = stack[-1]
+                if node in tree:
+                    stack.pop()
+                    continue
+                best = None
+                pending = False
+                for link in view.incoming[node]:
+                    if not tight[link]:
+                        continue
+                    route = tree.get(sources[link])
+                    if route is None:
+                        stack.append(sources[link])
+                        pending = True
+                    elif not pending:
+                        nodes = route[0] + (names[node],)
+                        if best is None or nodes < best[0]:
+                            best = (nodes, route[1] + (links[link],), route[2] + costs[link])
+                if pending:
+                    continue
+                if best is None:
+                    return _csgraph_unavailable(
+                        f"csgraph distance for node {names[node]!r} has no optimal "
+                        "predecessor; tie tolerance diverged from the python sweep"
+                    )
+                tree[node] = best
+                stack.pop()
+        routes[origin] = {names[node]: tree[node] for node in targets}
+    return routes
 
 
-def _reconstruct_tree(
-    names: Sequence[str],
-    incoming: Sequence[Sequence[tuple[int, Link, float]]],
-    origin_index: int,
-    distances,
-) -> dict[str, tuple[tuple[str, ...], tuple[Link, ...], float]]:
-    """Rebuild the deterministic route tree from one distance row.
-
-    Nodes are processed in increasing distance order, so every optimal
-    predecessor (``|d[u] + w - d[v]| <= tol`` with ``w > tol``) already has
-    its route when ``v`` is reached; among them the lexicographically
-    smallest full candidate sequence (predecessor route plus ``v``) wins,
-    matching :func:`_dijkstra_sweep` exactly.  The comparison must append
-    ``v`` before comparing — a predecessor route that is a proper prefix
-    of another sorts first on its own but not necessarily once ``v`` is
-    appended.  Costs are re-accumulated link by link along the chosen
-    chain so the floats are bit-identical to the python sweep's running
-    sums.
-    """
-    import numpy as np
-
-    routes: dict[int, tuple[tuple[str, ...], tuple[Link, ...]]] = {
-        origin_index: ((names[origin_index],), ())
-    }
-    costs: dict[int, float] = {origin_index: 0.0}
-    for position in np.argsort(distances, kind="stable"):
-        node = int(position)
-        distance = distances[node]
-        if not np.isfinite(distance):
-            break
-        if node == origin_index:
-            continue
-        name = names[node]
-        chosen_nodes: Optional[tuple[str, ...]] = None
-        chosen_links: Optional[tuple[Link, ...]] = None
-        chosen_source: Optional[int] = None
-        chosen_weight = 0.0
-        for source, link, weight in incoming[node]:
-            if abs(distances[source] + weight - distance) > _TIE_TOLERANCE:
-                continue
-            route = routes.get(source)
-            if route is None:
-                continue
-            candidate = route[0] + (name,)
-            if chosen_nodes is None or candidate < chosen_nodes:
-                chosen_nodes = candidate
-                chosen_links = route[1] + (link,)
-                chosen_source = source
-                chosen_weight = weight
-        if chosen_nodes is None or chosen_links is None or chosen_source is None:
-            raise RoutingError(
-                f"csgraph distance for node {name!r} has no optimal "
-                "predecessor; tie tolerance diverged from the python sweep"
-            )
-        routes[node] = (chosen_nodes, chosen_links)
-        costs[node] = costs[chosen_source] + chosen_weight
-    return {
-        names[node]: (nodes, links, costs[node])
-        for node, (nodes, links) in routes.items()
-        if node != origin_index
-    }
+def _csgraph_unavailable(reason: str) -> None:
+    warnings.warn(
+        f"csgraph routing unavailable ({reason}); falling back to the python Dijkstra sweep",
+        RuntimeWarning,
+        stacklevel=4,
+    )
 
 
 class ShortestPathRouter:
@@ -497,18 +470,14 @@ class ShortestPathRouter:
         tree_origins = [
             origin for origin, origin_pairs in by_origin.items() if len(origin_pairs) > 1
         ]
-        trees: Optional[dict[str, dict[str, tuple[tuple[str, ...], tuple[Link, ...], float]]]]
-        trees = None
+        trees: Optional[Routes] = None
         if tree_origins and self._use_csgraph():
-            try:
-                trees = _csgraph_trees(self.network, tree_origins, self._link_cost)
-            except (ImportError, AttributeError, RoutingError) as exc:
-                warnings.warn(
-                    f"csgraph routing unavailable ({exc}); "
-                    "falling back to the python Dijkstra sweep",
-                    RuntimeWarning,
-                    stacklevel=2,
-                )
+            view = self.network.graph_view()
+            weights = view.metrics
+            if self.metric_attribute == "hops":
+                weights = np.ones(len(weights))
+            wanted = dict.fromkeys(tree_origins, view.names)
+            trees = _csgraph_routes(self.network, wanted, weights)
         if trees is None:
             trees = {
                 origin: single_source_shortest_paths(self.network, origin, self._link_cost)

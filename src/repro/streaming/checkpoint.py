@@ -30,6 +30,7 @@ import scipy.sparse
 
 from repro.errors import StreamingError
 from repro.routing.routing_matrix import RoutingMatrix
+from repro.topology.elements import pair_labels
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from repro.streaming.daemon import StreamingEstimator
@@ -80,7 +81,7 @@ def routing_fingerprint(routing: RoutingMatrix) -> str:
     digest.update(csr.indices.astype(np.int64).tobytes())
     digest.update(csr.data.astype(np.float64).tobytes())
     digest.update("\x00".join(routing.link_names).encode())
-    digest.update("\x00".join(str(pair) for pair in routing.pairs).encode())
+    digest.update(pair_labels(routing.pairs))
     return digest.hexdigest()
 
 

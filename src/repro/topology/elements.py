@@ -44,6 +44,7 @@ __all__ = [
     "NodePair",
     "PairOrder",
     "pair_order",
+    "pair_labels",
 ]
 
 
@@ -243,9 +244,10 @@ class PairOrder(NamedTuple):
 #: How many distinct pair tuples :func:`pair_order` keeps indexed.
 PAIR_ORDER_CACHE_SIZE = 8
 
-# id(pairs) -> (pairs, order), least recently used first.  Holding the
-# tuple keeps its id from being reused while the entry lives.
-_pair_orders: dict[int, tuple[tuple[NodePair, ...], PairOrder]] = {}
+# id(pairs) -> [pairs, order, labels], least recently used first.  Holding
+# the tuple keeps its id from being reused while the entry lives; the
+# labels are encoded on first request.
+_pair_orders: dict[int, list] = {}
 _pair_orders_lock = threading.Lock()
 
 
@@ -256,15 +258,27 @@ def pair_order(pairs: tuple[NodePair, ...]) -> PairOrder:
     indexed by one tuple (a routing matrix, the traffic matrices and
     problems over it) shares one index instead of re-hashing every pair.
     """
+    return _pair_entry(pairs)[1]
+
+
+def pair_labels(pairs: tuple[NodePair, ...]) -> bytes:
+    """The pair names joined by NUL characters, UTF-8 encoded; memoised likewise."""
+    entry = _pair_entry(pairs)
+    if entry[2] is None:
+        entry[2] = "\x00".join(map(str, pairs)).encode()
+    return entry[2]
+
+
+def _pair_entry(pairs: tuple[NodePair, ...]) -> list:
     key = id(pairs)
     with _pair_orders_lock:
-        cached = _pair_orders.pop(key, None)
-        if cached is None or cached[0] is not pairs:
-            cached = (pairs, _build_pair_order(pairs))
-        _pair_orders[key] = cached
+        entry = _pair_orders.pop(key, None)
+        if entry is None or entry[0] is not pairs:
+            entry = [pairs, _build_pair_order(pairs), None]
+        _pair_orders[key] = entry
         if len(_pair_orders) > PAIR_ORDER_CACHE_SIZE:
             del _pair_orders[next(iter(_pair_orders))]
-    return cached[1]
+    return entry
 
 
 def _build_pair_order(pairs: tuple[NodePair, ...]) -> PairOrder:

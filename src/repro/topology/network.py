@@ -20,12 +20,58 @@ from __future__ import annotations
 
 from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
-import networkx as nx
+import numpy as np
+import scipy.sparse
+from scipy.sparse import csgraph
 
 from repro.errors import TopologyError
 from repro.topology.elements import Link, LinkKind, Node, NodePair, NodeRole
 
-__all__ = ["Network"]
+__all__ = ["Network", "GraphView"]
+
+
+class GraphView:
+    """Array form of a network's graph for :mod:`scipy.sparse.csgraph`.
+
+    ``index`` maps the node ``names`` to positions.  Link ``l`` (insertion
+    order, the routing-matrix row order) runs from node ``sources[l]`` to
+    ``targets[l]`` with metric ``metrics[l]``; ``incoming[v]`` lists the
+    links entering node ``v`` in insertion order.  The arrays are read-only.
+    """
+
+    def __init__(self, network: "Network") -> None:
+        self.names = network.node_names
+        self.index = {name: position for position, name in enumerate(self.names)}
+        links = network.links
+        self.sources = np.array([self.index[link.source] for link in links], dtype=np.intp)
+        self.targets = np.array([self.index[link.target] for link in links], dtype=np.intp)
+        self.metrics = np.array([link.metric for link in links], dtype=np.float64)
+        for array in (self.sources, self.targets, self.metrics):
+            array.setflags(write=False)
+        incoming: list[list[int]] = [[] for _ in self.names]
+        for link_id, target in enumerate(self.targets.tolist()):
+            incoming[target].append(link_id)
+        self.incoming = tuple(map(tuple, incoming))
+
+    def adjacency(
+        self, weights: Optional[np.ndarray] = None, usable: Optional[np.ndarray] = None
+    ) -> scipy.sparse.csr_matrix:
+        """Node adjacency over the ``usable`` links (boolean mask, default all).
+
+        Entry ``(u, v)`` is the smallest of the ``weights`` (default the
+        metrics) of the usable links from ``u`` to ``v``, so parallel links
+        collapse to the cheapest, as the IGP prefers them.
+        """
+        kept = slice(None) if usable is None else usable
+        size = len(self.names)
+        keys = self.sources[kept] * size + self.targets[kept]
+        values = (self.metrics if weights is None else weights)[kept]
+        order = np.lexsort((values, keys))
+        keys, values = keys[order], values[order]
+        first = np.diff(keys, prepend=-1) != 0
+        return scipy.sparse.csr_matrix(
+            (values[first], divmod(keys[first], size)), shape=(size, size)
+        )
 
 
 class Network:
@@ -43,9 +89,8 @@ class Network:
 
     Notes
     -----
-    The class intentionally exposes a small, explicit API rather than
-    subclassing :class:`networkx.DiGraph`; a NetworkX view is available via
-    :meth:`to_networkx` for algorithms that want it.
+    The class intentionally exposes a small, explicit API; the array view
+    that graph algorithms run on is :meth:`graph_view`.
     """
 
     def __init__(
@@ -61,7 +106,8 @@ class Network:
         self._links: dict[str, Link] = {}
         self._link_index: dict[str, int] = {}
         self._adjacency: dict[str, list[Link]] = {}
-        self._graph: Optional[nx.DiGraph] = None
+        self._view: Optional[GraphView] = None
+        self._pairs: Optional[tuple[NodePair, ...]] = None
         for node in nodes:
             self.add_node(node)
         for link in links:
@@ -76,7 +122,8 @@ class Network:
             raise TopologyError(f"duplicate node {node.name!r}")
         self._nodes[node.name] = node
         self._adjacency.setdefault(node.name, [])
-        self._graph = None
+        self._view = None
+        self._pairs = None
 
     def add_link(self, link: Link) -> None:
         """Add a directed link whose endpoints must already exist."""
@@ -89,7 +136,7 @@ class Network:
         self._link_index[link.name] = len(self._links)
         self._links[link.name] = link
         self._adjacency[link.source].append(link)
-        self._graph = None
+        self._view = None
 
     def add_bidirectional_link(self, link: Link) -> None:
         """Add ``link`` and its reverse in one call (common for backbones)."""
@@ -217,15 +264,19 @@ class Network:
 
         Pairs are ordered by origin (node insertion order) and then by
         destination, skipping the diagonal.  Only edge nodes (access or
-        peering) appear; transit nodes never source or sink demands.
+        peering) appear; transit nodes never source or sink demands.  The
+        tuple is built once (:meth:`add_node` invalidates it), so the routing
+        and traffic matrices of one network share it.
         """
-        edge_names = [node.name for node in self.edge_nodes]
-        pairs = []
-        for origin in edge_names:
-            for destination in edge_names:
-                if origin != destination:
-                    pairs.append(NodePair(origin, destination))
-        return tuple(pairs)
+        if self._pairs is None:
+            edge_names = [node.name for node in self.edge_nodes]
+            self._pairs = tuple(
+                NodePair(origin, destination)
+                for origin in edge_names
+                for destination in edge_names
+                if origin != destination
+            )
+        return self._pairs
 
     def pair_index(self) -> dict[NodePair, int]:
         """Return the mapping from node pair to its canonical vector index."""
@@ -249,20 +300,22 @@ class Network:
         # The pair enumeration contains both directions of every edge-node
         # pair, so routability of all pairs is exactly "all edge nodes lie
         # in one strongly connected component" — one SCC sweep instead of
-        # the quadratic per-pair has_path loop (which dominated topology
-        # generation beyond a few hundred nodes).
-        graph = self.to_networkx()
-        component_of: dict[str, int] = {}
-        for index, component in enumerate(nx.strongly_connected_components(graph)):
-            for node_name in component:
-                component_of[node_name] = index
+        # a quadratic per-pair reachability loop.
+        view = self.graph_view()
+        adjacency = view.adjacency()
+        _, component_of = csgraph.connected_components(
+            adjacency, directed=True, connection="strong"
+        )
         edge_names = [node.name for node in self.edge_nodes]
         anchor = edge_names[0]
         for other in edge_names[1:]:
-            if component_of[other] != component_of[anchor]:
+            if component_of[view.index[other]] != component_of[view.index[anchor]]:
                 # Name one unroutable demand, matching the historical error.
                 pair = NodePair(anchor, other)
-                if nx.has_path(graph, anchor, other):
+                reached = csgraph.breadth_first_order(
+                    adjacency, view.index[anchor], directed=True, return_predecessors=False
+                )
+                if view.index[other] in reached:
                     pair = NodePair(other, anchor)
                 raise TopologyError(
                     f"network {self.name!r} has no path for demand {pair}"
@@ -277,47 +330,14 @@ class Network:
             return False
         return True
 
-    def to_networkx(self) -> nx.DiGraph:
-        """Return a :class:`networkx.DiGraph` view of the topology.
+    def graph_view(self) -> GraphView:
+        """The cached :class:`GraphView` that routing and :meth:`validate` share.
 
-        Link attributes are attached to the edges (``capacity_mbps``,
-        ``metric``, ``kind`` and ``name``); node attributes carry the role,
-        region and population.  Parallel links collapse to the lowest-metric
-        one, which matches how the IGP would prefer them.
-
-        The view is built once and cached so that repeated
-        :meth:`validate` / :meth:`is_connected` calls (e.g. connectivity
-        probes of surviving topologies) and external NetworkX-based
-        consumers stop rebuilding it per call; the cache is invalidated by
-        :meth:`add_node` / :meth:`add_link`.  The returned graph is frozen
-        (mutating it would corrupt the shared cache); mutate a ``.copy()``
-        instead.
+        :meth:`add_node` / :meth:`add_link` invalidate it.
         """
-        if self._graph is not None:
-            return self._graph
-        graph = nx.DiGraph(name=self.name)
-        for node in self._nodes.values():
-            graph.add_node(
-                node.name,
-                role=node.role,
-                region=node.region,
-                population=node.population,
-                city=node.city,
-            )
-        for link in self._links.values():
-            existing = graph.get_edge_data(link.source, link.target)
-            if existing is not None and existing["metric"] <= link.metric:
-                continue
-            graph.add_edge(
-                link.source,
-                link.target,
-                capacity_mbps=link.capacity_mbps,
-                metric=link.metric,
-                kind=link.kind,
-                name=link.name,
-            )
-        self._graph = nx.freeze(graph)
-        return self._graph
+        if self._view is None:
+            self._view = GraphView(self)
+        return self._view
 
     def subnetwork(self, name: str, node_names: Sequence[str]) -> "Network":
         """Return the sub-network induced by ``node_names``.

@@ -78,6 +78,32 @@ class TestFailureSweep:
         with pytest.raises(ReproError):
             failure_sweep(dumbbell_scenario, specs=specs, skip_errors=False)
 
+    def test_sweep_never_routes_the_intact_mesh(self, dumbbell_scenario, monkeypatch):
+        # failure_sweep and Scenario.planning adopt the scenario's routing.
+        from repro.routing.shortest_path import ShortestPathRouter
+
+        expected = failure_sweep(dumbbell_scenario, specs=SPECS)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the intact mesh was routed again")
+
+        monkeypatch.setattr(ShortestPathRouter, "route_all", refuse)
+        assert failure_sweep(dumbbell_scenario, specs=SPECS) == expected
+        engine = dumbbell_scenario.planning()
+        assert engine.base_routing is dumbbell_scenario.routing
+        assert engine.worst_case(dumbbell_scenario.busy_mean_matrix()).max_utilisation > 0
+
+    def test_sweep_reroutes_in_compiled_code(self, dumbbell_scenario, monkeypatch):
+        import repro.routing.incremental as incremental_module
+
+        expected = failure_sweep(dumbbell_scenario, specs=SPECS)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("python Dijkstra called in IGP mode")
+
+        monkeypatch.setattr(incremental_module, "constrained_dijkstra", refuse)
+        assert failure_sweep(dumbbell_scenario, specs=SPECS) == expected
+
     def test_growth_scales_utilisations(self, dumbbell_scenario):
         cases = enumerate_failures(dumbbell_scenario.network, kinds=("link",))[:3]
         base = failure_sweep(dumbbell_scenario, specs=SPECS, cases=cases)

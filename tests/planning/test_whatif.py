@@ -207,10 +207,51 @@ class TestWhatIfEngine:
         feasible = [p for p in projections if p.is_feasible]
         assert worst.max_utilisation == max(p.max_utilisation for p in feasible)
 
+    def test_from_routing_adopts_the_matrix(self, dumbbell_scenario):
+        routing = dumbbell_scenario.routing
+        adopted = WhatIfEngine.from_routing(routing, utilisation_threshold=0.5, cache_size=4)
+        routed = WhatIfEngine(dumbbell_scenario.network)
+        assert adopted.base_routing is routing
+        assert adopted.network is dumbbell_scenario.network
+        assert adopted.utilisation_threshold == 0.5
+        truth = dumbbell_scenario.busy_mean_matrix()
+        for case in enumerate_failures(
+            dumbbell_scenario.network, kinds=("link", "node"), include_baseline=True
+        ):
+            matrix, result = adopted.routing_for(case)
+            reference, reference_result = routed.routing_for(case)
+            assert matrix.pairs is routing.pairs
+            np.testing.assert_array_equal(matrix.matrix, reference.matrix)
+            assert result == reference_result
+            np.testing.assert_array_equal(
+                adopted.project(truth, case).utilisations,
+                routed.project(truth, case).utilisations,
+            )
+
+    def test_scenario_projections_share_one_pair_tuple(self):
+        scenario = europe_scenario()
+        engine = scenario.planning()
+        truth = scenario.busy_mean_matrix()
+        assert truth.pairs is scenario.routing.pairs
+        case = enumerate_failures(scenario.network, kinds=("link",))[0]
+        assert engine.routing_for(case)[0].pairs is truth.pairs
+
+    def test_from_routing_rejects_bad_input(self, dumbbell_network):
+        from repro.errors import PlanningError, RoutingError
+        from repro.routing import RoutingMatrix
+
+        base = build_routing_matrix(dumbbell_network)
+        with pytest.raises(PlanningError):
+            WhatIfEngine.from_routing(base, cache_size=0)
+        bare = RoutingMatrix(base.matrix, base.link_names, base.pairs)
+        with pytest.raises(RoutingError):
+            WhatIfEngine.from_routing(bare)
+
     def test_scenario_planning_entry_point(self, dumbbell_scenario):
         engine = dumbbell_scenario.planning(utilisation_threshold=0.5)
         assert isinstance(engine, WhatIfEngine)
         assert engine.utilisation_threshold == 0.5
+        assert engine.base_routing is dumbbell_scenario.routing
         np.testing.assert_array_equal(
             engine.base_routing.matrix, dumbbell_scenario.routing.matrix
         )

@@ -169,6 +169,29 @@ class TestCheckpointRoundtrip:
             stream_scenario.routing
         )
 
+    def test_reroute_and_restore_run_in_compiled_code(
+        self, stream_scenario, collector_factory, tmp_path, monkeypatch
+    ):
+        import repro.routing.incremental as incremental_module
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("python Dijkstra called in IGP mode")
+
+        monkeypatch.setattr(incremental_module, "constrained_dijkstra", refuse)
+        stream = PollStream.from_collector(collector_factory(), stream_scenario.day_series)
+        daemon = make_daemon(collector_factory, None)
+        iterator = daemon.run(stream)
+        next(iterator)
+        assert daemon.apply_reroute(failed_links=[stream_scenario.routing.link_names[0]]).rerouted
+        next(iterator)
+        path = tmp_path / "compiled.ckpt"
+        daemon.checkpoint(str(path))
+        restored = StreamingEstimator.restore(str(path), stream_scenario.routing)
+        assert routing_fingerprint(restored.routing) == routing_fingerprint(daemon.routing)
+        assert [record.payload_line() for record in restored.run(stream)] == [
+            record.payload_line() for record in iterator
+        ]
+
     def test_reroute_and_restore_never_route_the_intact_mesh(
         self, stream_scenario, collector_factory, tmp_path, monkeypatch
     ):
@@ -242,6 +265,24 @@ class TestCheckpointValidation:
         routing = stream_scenario.routing
         sparse = routing.with_backend("sparse")
         assert routing_fingerprint(routing) == routing_fingerprint(sparse)
+
+    def test_fingerprint_digest_is_pinned(self):
+        # A checkpoint written before the pair labels were memoised must
+        # still restore: the digest of a fixed routing is pinned byte for byte.
+        from repro.routing import build_routing_matrix
+        from repro.topology import Link, Network, Node
+
+        network = Network("tri")
+        for name in "ABC":
+            network.add_node(Node(name=name))
+        for a, b, metric in (("A", "B", 1.0), ("B", "C", 2.0), ("A", "C", 2.5)):
+            network.add_bidirectional_link(Link(source=a, target=b, metric=metric))
+        routing = build_routing_matrix(network)
+        expected = "37e3695bc221f74af30db4bf7d85897639f03d7b3acaf7041569163f7d13a88d"
+        assert routing_fingerprint(routing) == expected
+        assert routing_fingerprint(routing) == expected
+        assert routing_fingerprint(routing.with_backend("sparse")) == expected
+        assert CHECKPOINT_VERSION == 1
 
 
 class TestKillDashNine:

@@ -6,6 +6,7 @@ import pytest
 
 from repro.errors import TopologyError
 from repro.topology import Link, LinkKind, Node, NodePair, NodeRole, pair_order
+from repro.topology.elements import pair_labels
 
 
 class TestNode:
@@ -131,6 +132,12 @@ class TestPairOrder:
             pair_order(tuple(list(self.PAIRS)))
         assert len(elements._pair_orders) <= elements.PAIR_ORDER_CACHE_SIZE
         assert pair_order(self.PAIRS) is not kept
+
+    def test_labels_are_memoised_with_the_order(self):
+        labels = pair_labels(self.PAIRS)
+        assert labels == "B->A\x00A->C\x00B->C\x00C->A".encode()
+        assert pair_labels(self.PAIRS) is labels
+        assert pair_labels(tuple(list(self.PAIRS))) == labels
 
     def test_duplicates_shorten_the_index(self):
         pairs = (NodePair("A", "B"), NodePair("A", "B"))

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from repro.errors import TopologyError
@@ -105,6 +106,16 @@ class TestPairs:
         assert all(pair.origin != pair.destination for pair in pairs)
         assert all("T" not in (pair.origin, pair.destination) for pair in pairs)
 
+    def test_node_pairs_is_one_cached_tuple(self):
+        network = build_square()
+        pairs = network.node_pairs()
+        assert network.node_pairs() is pairs
+        network.add_link(Link(source="A", target="C"))
+        assert network.node_pairs() is pairs
+        network.add_node(Node(name="E"))
+        assert network.node_pairs() is not pairs
+        assert len(network.node_pairs()) == 20
+
     def test_pair_index_is_positional(self):
         network = build_square()
         index = network.pair_index()
@@ -129,32 +140,63 @@ class TestValidationAndViews:
         with pytest.raises(TopologyError):
             network.validate()
 
-    def test_to_networkx_carries_attributes(self):
-        network = build_square()
-        graph = network.to_networkx()
-        assert graph.number_of_nodes() == 4
-        assert graph.number_of_edges() == 8
-        assert graph.edges["A", "B"]["capacity_mbps"] == 10_000.0
+    @pytest.mark.parametrize(
+        "one_way, unroutable", [(("A", "B"), "B->A"), (("B", "A"), "A->B")]
+    )
+    def test_validate_names_the_unroutable_direction(self, one_way, unroutable):
+        network = Network("one-way", nodes=[Node(name="A"), Node(name="B")])
+        network.add_link(Link(source=one_way[0], target=one_way[1]))
+        with pytest.raises(TopologyError, match=f"no path for demand {unroutable}$"):
+            network.validate()
 
-    def test_to_networkx_is_cached(self):
+    def test_graph_view_arrays_follow_link_order(self):
         network = build_square()
-        assert network.to_networkx() is network.to_networkx()
+        network.add_link(Link(source="A", target="B", metric=0.5, name="A->B#2"))
+        view = network.graph_view()
+        assert view.names == ("A", "B", "C", "D")
+        assert [view.names[i] for i in view.sources] == [l.source for l in network.links]
+        assert [view.names[i] for i in view.targets] == [l.target for l in network.links]
+        assert view.metrics.tolist() == [l.metric for l in network.links]
+        assert view.incoming[view.index["B"]] == tuple(
+            network.link_index(l.name) for l in network.incoming_links("B")
+        )
+        assert not view.metrics.flags.writeable
 
-    def test_to_networkx_cache_invalidated_by_add_node(self):
+    def test_graph_view_adjacency_keeps_cheapest_usable_link(self):
         network = build_square()
-        first = network.to_networkx()
+        network.add_link(Link(source="A", target="B", metric=0.5, name="A->B#2"))
+        view = network.graph_view()
+        a, b = view.index["A"], view.index["B"]
+        assert view.adjacency()[a, b] == 0.5
+        usable = np.ones(network.num_links, dtype=bool)
+        usable[network.link_index("A->B#2")] = False
+        assert view.adjacency(usable=usable)[a, b] == 1.0
+        usable[network.link_index("A->B")] = False
+        assert view.adjacency(usable=usable)[a, b] == 0.0
+        assert view.adjacency(usable=usable).nnz == network.num_links - 2
+
+    def test_graph_view_is_cached(self):
+        network = build_square()
+        assert network.graph_view() is network.graph_view()
+
+    def test_graph_view_invalidated_by_add_node(self):
+        network = build_square()
+        first = network.graph_view()
         network.add_node(Node(name="E"))
-        second = network.to_networkx()
+        second = network.graph_view()
         assert second is not first
-        assert second.has_node("E")
+        assert "E" in second.index
 
-    def test_to_networkx_cache_invalidated_by_add_link(self):
+    def test_graph_view_invalidated_by_add_link(self):
         network = build_square()
-        first = network.to_networkx()
+        first = network.graph_view()
         network.add_link(Link(source="A", target="C"))
-        second = network.to_networkx()
+        second = network.graph_view()
         assert second is not first
-        assert second.has_edge("A", "C")
+        assert (second.sources[-1], second.targets[-1]) == (
+            second.index["A"],
+            second.index["C"],
+        )
 
     def test_subnetwork_drops_external_links(self):
         network = build_square()
