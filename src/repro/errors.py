@@ -82,9 +82,8 @@ class StreamingError(ReproError):
 class SolverError(ReproError):
     """Raised by the numerical substrate when an optimisation problem fails.
 
-    This covers infeasible linear programs, iteration limits being exceeded
-    in the projected-gradient solvers, and singular equality constraints in
-    the quadratic-programming solver.
+    This covers infeasible linear and quadratic programs and malformed
+    solver input.
     """
 
 

@@ -48,7 +48,7 @@ from repro.estimation.base import (
 from repro.estimation.priors import make_prior
 from repro.estimation.registry import register
 from repro.estimation.vardi import link_load_moments
-from repro.optimize.nnls import nnls
+from repro.optimize.qp import QPSolution, solve_qp
 
 __all__ = ["CaoEstimator"]
 
@@ -73,8 +73,15 @@ class CaoEstimator(Estimator):
         Number of EM sweeps.
     tolerance:
         Relative change of ``lambda`` below which the iteration stops.
+        The last sweep's relative change is reported as ``optimality`` (the
+        fixed-point residual), and ``converged`` says whether it fell below
+        ``tolerance``.
     prior:
-        Prior used to initialise ``lambda`` (a vector or a prior name).
+        Prior used to initialise ``lambda`` (a vector or a prior name).  When
+        the prior is unavailable or all zero, the seed is the non-negative
+        first-moment fit ``min ||R x - t_hat||^2``, solved by
+        :func:`repro.optimize.qp.solve_qp`; its certificate is reported as
+        ``seed_optimality``.
     """
 
     name = "cao"
@@ -102,12 +109,15 @@ class CaoEstimator(Estimator):
         self.prior = prior
 
     # ------------------------------------------------------------------
-    def _initial_lambda(self, problem: EstimationProblem, mean_loads: np.ndarray) -> np.ndarray:
+    def _initial_lambda(
+        self, problem: EstimationProblem, mean_loads: np.ndarray
+    ) -> tuple[np.ndarray, Optional[QPSolution]]:
+        """The starting intensities, and the NNLS seed's solution if one ran."""
         if isinstance(self.prior, str):
             try:
                 start = make_prior(problem, self.prior)
             # Probing whether the named prior is constructible; the
-            # documented nnls fallback below is the designed default.
+            # documented NNLS fallback below is the designed default.
             except EstimationError:  # reprolint: allow[fault-handling]
                 start = None
         else:
@@ -117,9 +127,11 @@ class CaoEstimator(Estimator):
                     f"prior has shape {start.shape}, expected ({problem.num_pairs},)"
                 )
         if start is None or not np.any(start > 0):
-            # Fall back to the non-negative first-moment fit.
-            start = nnls(problem.routing.matrix, mean_loads).x
-        return np.maximum(start, 0.0)
+            # Fall back to the non-negative first-moment fit, min ||R x - t||^2.
+            routing = problem.routing
+            seed = solve_qp(routing.gram(), routing.rmatvec(mean_loads))
+            return seed.x, seed
+        return np.maximum(start, 0.0), None
 
     def estimate(
         self, problem: EstimationProblem, *, start: Optional[np.ndarray] = None
@@ -130,10 +142,11 @@ class CaoEstimator(Estimator):
         routing = problem.routing.matrix
         num_snapshots = series.shape[0]
 
-        lam = self._initial_lambda(problem, mean_loads)
+        lam, seed = self._initial_lambda(problem, mean_loads)
         phi = self.phi
         floor = max(float(lam[lam > 0].min(initial=1.0)) * 1e-6, 1e-9)
         iterations_used = 0
+        change = float("inf")
         for iterations_used in range(1, self.max_iterations + 1):
             variances = phi * np.power(np.maximum(lam, floor), self.c)
             sigma_rt = variances[:, None] * routing.T
@@ -157,14 +170,18 @@ class CaoEstimator(Estimator):
             if change < self.tolerance:
                 break
 
+        seed_diagnostics = {} if seed is None else {"seed_optimality": seed.optimality}
         return self._result(
             problem,
             lam,
             c=self.c,
             phi=phi,
             iterations=iterations_used,
+            converged=change < self.tolerance,
+            optimality=change,
             num_snapshots=num_snapshots,
             first_moment_residual=float(np.linalg.norm(routing @ lam - mean_loads)),
+            **seed_diagnostics,
         )
 
     def estimate_series(self, problem: EstimationProblem) -> SeriesEstimationResult:

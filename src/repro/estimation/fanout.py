@@ -15,10 +15,14 @@ snapshot ``k``.  Already for window length 3 the stacked system becomes
 overdetermined; the paper's Figure 11 shows the error dropping quickly with
 the first few snapshots and then levelling out.
 
-:class:`FanoutEstimator` solves this constrained least-squares problem with
-:func:`repro.optimize.qp.constrained_nnls` and reports, as its point
-estimate, the window-average demands ``mean_k t_e(n)[k] * alpha_nm`` (the
-quantity the paper plots in Figure 10).
+:class:`FanoutEstimator` solves this problem in Gram form: with ``S`` the
+``K × P`` matrix of ingress scalings (row ``k`` is the diagonal of
+``S[k]``), the objective is ``½ alpha'G alpha − h'alpha`` plus a constant,
+where ``G = (R'R) ∘ (S'S)`` and ``h = sum_k s_k ∘ (R' t[k])``.  ``G`` is
+``P × P`` whatever the window length, and the "fanouts sum to one" rows go
+to :func:`repro.optimize.qp.solve_qp` as exact equality constraints.  The
+point estimate is the window-average demands ``mean_k t_e(n)[k] *
+alpha_nm`` (the quantity the paper plots in Figure 10).
 """
 
 from __future__ import annotations
@@ -35,7 +39,7 @@ from repro.estimation.base import (
     SeriesEstimationResult,
 )
 from repro.estimation.registry import register
-from repro.optimize.qp import constrained_nnls
+from repro.optimize.qp import solve_qp
 
 __all__ = ["FanoutEstimator"]
 
@@ -49,17 +53,14 @@ class FanoutEstimator(Estimator):
     window_length:
         Number of snapshots (from the start of the problem's series) to use;
         ``None`` uses the full series.
-    solver:
-        NNLS solver preference forwarded to the constrained solver.
     """
 
     name = "fanout"
 
-    def __init__(self, window_length: Optional[int] = None, solver: str = "auto") -> None:
+    def __init__(self, window_length: Optional[int] = None) -> None:
         if window_length is not None and window_length < 1:
             raise EstimationError("window_length must be at least 1")
         self.window_length = window_length
-        self.solver = solver
 
     # ------------------------------------------------------------------
     def _origin_totals_series(
@@ -106,31 +107,17 @@ class FanoutEstimator(Estimator):
         origins, _, pair_origin_col, _ = problem.pair_positions()
         ingress = self._origin_totals_series(problem, num_snapshots, origins)
 
-        routing = problem.routing.matrix
-        num_links, num_pairs = routing.shape
-
-        # Stack R * diag(t_e(origin(p))[k]) for every snapshot in the window.
-        blocks = np.empty((num_snapshots * num_links, num_pairs))
-        rhs = np.empty(num_snapshots * num_links)
-        for k in range(num_snapshots):
-            scaling = ingress[k, pair_origin_col]
-            blocks[k * num_links : (k + 1) * num_links] = routing * scaling[None, :]
-            rhs[k * num_links : (k + 1) * num_links] = series[k]
+        routing = problem.routing
+        scaling = ingress[:, pair_origin_col]  # S, shape (K, P)
+        gram = routing.gram() * (scaling.T @ scaling)
+        linear = np.einsum("kp,pk->p", scaling, routing.rmatmat(series.T))
 
         # One equality row per origin: its fanouts sum to one.
-        equality = np.zeros((len(origins), num_pairs))
-        equality[pair_origin_col, np.arange(num_pairs)] = 1.0
-        targets = np.ones(len(origins))
-
-        scale = float(np.abs(blocks).max(initial=1.0))
-        solution = constrained_nnls(
-            blocks / scale,
-            rhs / scale,
-            equality,
-            targets,
-            solver=self.solver,
-        )
-        fanouts = np.maximum(solution.x, 0.0)
+        equality = np.zeros((len(origins), problem.num_pairs))
+        equality[pair_origin_col, np.arange(problem.num_pairs)] = 1.0
+        solution = solve_qp(gram, linear, equality, np.ones(len(origins)))
+        fanouts = solution.x
+        residuals = routing.matmat((scaling * fanouts).T) - series.T
 
         # Point estimate: window-average demands implied by the fanouts.
         mean_ingress = ingress.mean(axis=0)
@@ -140,8 +127,11 @@ class FanoutEstimator(Estimator):
             values,
             fanouts=fanouts,
             window_length=num_snapshots,
-            equality_violation=solution.equality_violation,
-            residual_norm=solution.residual_norm,
+            equality_violation=float(np.max(np.abs(equality @ fanouts - 1.0), initial=0.0)),
+            residual_norm=float(np.linalg.norm(residuals)),
+            iterations=solution.iterations,
+            converged=solution.converged,
+            optimality=solution.optimality,
         )
 
     def estimate_series(self, problem: EstimationProblem) -> SeriesEstimationResult:
@@ -161,7 +151,5 @@ class FanoutEstimator(Estimator):
             problem,
             estimates,
             batched=True,
-            window_length=result.diagnostics["window_length"],
-            equality_violation=result.diagnostics["equality_violation"],
-            residual_norm=result.diagnostics["residual_norm"],
+            **{key: value for key, value in result.diagnostics.items() if key != "fanouts"},
         )

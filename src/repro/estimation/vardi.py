@@ -22,8 +22,8 @@ moment).
 
 Both terms are quadratic in ``lambda``; using ``<r_p r_p', r_q r_q'> =
 (r_p' r_q)^2`` the combined objective reduces to a non-negative quadratic
-program with Hessian ``R'R + w (R'R)^{.2}`` (elementwise square), solved by
-:func:`repro.optimize.qp.nonnegative_quadratic_program`.
+program with Hessian ``R'R + w (R'R)^{.2}`` (elementwise square), solved
+and certified by :func:`repro.optimize.qp.solve_qp`.
 """
 
 from __future__ import annotations
@@ -40,7 +40,7 @@ from repro.estimation.base import (
     SeriesEstimationResult,
 )
 from repro.estimation.registry import register
-from repro.optimize.qp import nonnegative_quadratic_program
+from repro.optimize.qp import solve_qp
 
 __all__ = ["VardiEstimator", "link_load_moments"]
 
@@ -72,8 +72,9 @@ class VardiEstimator(Estimator):
     poisson_weight:
         The paper's ``sigma^{-2}`` in [0, 1]: weight of the second-moment
         (covariance) matching term relative to the first-moment term.
-    max_iterations, tolerance:
-        Forwarded to the projected-gradient QP solver.
+    max_iterations:
+        Iteration cap of the QP solver; a fit that hits it reports
+        ``converged=False``.
     """
 
     name = "vardi"
@@ -82,23 +83,20 @@ class VardiEstimator(Estimator):
         self,
         poisson_weight: float = 1.0,
         max_iterations: int = 20000,
-        tolerance: float = 1e-12,
     ) -> None:
         if not 0 <= poisson_weight <= 1:
             raise EstimationError("poisson_weight (sigma^-2) must lie in [0, 1]")
         self.poisson_weight = float(poisson_weight)
         self.max_iterations = int(max_iterations)
-        self.tolerance = float(tolerance)
 
     def estimate(
         self, problem: EstimationProblem, *, start: Optional[np.ndarray] = None
     ) -> EstimationResult:
         """Match the sample moments of the link-load series.
 
-        ``start`` (e.g. the previous window's solution) seeds the
-        projected-gradient QP when its dimension matches; started near the
-        optimum the solver converges in a handful of iterations instead of
-        thousands.
+        ``start`` (e.g. the previous window's solution) seeds the QP's free
+        set when its dimension matches; when the previous free set is still
+        optimal the fit certifies after 0 iterations.
         """
         series = problem.series
         mean, covariance = link_load_moments(series)
@@ -115,15 +113,10 @@ class VardiEstimator(Estimator):
                 "lp,lp->p", routing.matrix, sigma_r
             )
 
-        x0 = None
-        if start is not None and np.shape(start) == linear.shape:
-            x0 = start
-        solution = nonnegative_quadratic_program(
-            hessian,
-            linear,
-            x0=x0,
-            max_iterations=self.max_iterations,
-            tolerance=self.tolerance,
+        if start is not None and np.shape(start) != linear.shape:
+            start = None
+        solution = solve_qp(
+            hessian, linear, start=start, max_iterations=self.max_iterations
         )
         values = solution.x
         # R diag(values) R' compared against the sample covariance.
@@ -138,6 +131,7 @@ class VardiEstimator(Estimator):
             second_moment_residual=float(np.linalg.norm(covariance_model - covariance)),
             iterations=solution.iterations,
             converged=solution.converged,
+            optimality=solution.optimality,
         )
 
     def estimate_series(self, problem: EstimationProblem) -> SeriesEstimationResult:

@@ -60,13 +60,19 @@ def relative_errors(
     Demands whose true value is zero are skipped (their relative error is
     undefined), matching the paper's restriction to large demands.
     """
+    kept, errors = _retained_errors(estimate, truth, threshold)
+    pairs = truth.pairs
+    return {pairs[index]: error for index, error in zip(kept.tolist(), errors.tolist())}
+
+
+def _retained_errors(
+    estimate: TrafficMatrix, truth: TrafficMatrix, threshold: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """Positions of the demands above ``threshold`` and their relative errors, in pair order."""
     _check_alignment(estimate, truth)
-    errors: dict[NodePair, float] = {}
-    for pair, true_value in truth:
-        if true_value <= threshold or true_value <= 0:
-            continue
-        errors[pair] = abs(estimate.demand(pair) - true_value) / true_value
-    return errors
+    true_values = truth.vector
+    kept = np.flatnonzero(~((true_values <= threshold) | (true_values <= 0)))
+    return kept, np.abs(estimate.vector[kept] - true_values[kept]) / true_values[kept]
 
 
 def mean_relative_error(
@@ -99,10 +105,10 @@ def mean_relative_error(
         # than s_T" in the paper includes the demand defining the 90% mark),
         # so move it just below.
         threshold = float(np.nextafter(threshold, 0.0))
-    errors = relative_errors(estimate, truth, threshold=threshold)
-    if not errors:
+    _, errors = _retained_errors(estimate, truth, threshold)
+    if not len(errors):
         raise EstimationError("no demands exceed the MRE threshold")
-    return float(np.mean(list(errors.values())))
+    return float(np.mean(errors))
 
 
 def root_mean_square_error(estimate: TrafficMatrix, truth: TrafficMatrix) -> float:

@@ -1,15 +1,15 @@
-"""Numerical substrate: Newton, NNLS, constrained least squares, LP, scaling.
+"""Numerical substrate: Newton, QP, LP, scaling.
 
 These solvers back the estimation methods:
 
 * :mod:`~repro.optimize.newton` — the damped-Newton driver behind the
   link-space duals of the entropy/tomogravity and Bayesian estimators;
-* :mod:`~repro.optimize.nnls` — non-negative least squares (active set and
-  accelerated projected gradient);
-* :mod:`~repro.optimize.qp` — equality-constrained least squares with and
-  without non-negativity (fanout estimation);
-* :mod:`~repro.optimize.linear_program` — LP wrapper used by the worst-case
-  bounds;
+* :mod:`~repro.optimize.qp` — :func:`solve_qp`, the certified Gram-form QP
+  (HiGHS plus a KKT polish) behind Vardi, fanout and Cao's seed;
+* :mod:`~repro.optimize.nnls` — SciPy's Lawson–Hanson NNLS, kept as an
+  independent reference for the QP solver;
+* :mod:`~repro.optimize.linear_program` — the LP wrapper and the
+  incremental primal-simplex engine of the worst-case bounds;
 * :mod:`~repro.optimize.ipf` — Kruithof's biproportional fitting and the
   generalised iterative scaling / KL projection.
 """
@@ -29,29 +29,23 @@ from repro.optimize.linear_program import (
     solve_linear_program,
 )
 from repro.optimize.newton import NewtonResult, newton_minimize
-from repro.optimize.nnls import NNLSResult, nnls, nnls_active_set, nnls_projected_gradient
+from repro.optimize.nnls import NNLSResult, nnls_active_set
 from repro.optimize.qp import (
     ConstrainedLSResult,
-    QPResult,
-    constrained_nnls,
+    QPSolution,
     equality_constrained_least_squares,
-    nonnegative_quadratic_program,
-    symmetric_spectral_norm,
+    solve_qp,
 )
 
 __all__ = [
     "NewtonResult",
     "newton_minimize",
     "NNLSResult",
-    "nnls",
     "nnls_active_set",
-    "nnls_projected_gradient",
     "ConstrainedLSResult",
     "equality_constrained_least_squares",
-    "constrained_nnls",
-    "QPResult",
-    "nonnegative_quadratic_program",
-    "symmetric_spectral_norm",
+    "QPSolution",
+    "solve_qp",
     "LPResult",
     "BatchBoundsResult",
     "solve_linear_program",

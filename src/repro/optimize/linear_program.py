@@ -17,9 +17,9 @@ bottleneck the paper itself warns about.  This module provides three layers:
   model is built **once**, a structural presolve removes every pair whose
   bounds follow without an LP (rank-pinned coordinates of the equality
   system, and combinatorially tight intervals), and the surviving LPs are
-  solved either on an incremental HiGHS model that is re-solved from the
-  previous optimal basis (objective changes only), or fanned out in chunks
-  across a process pool when ``n_jobs`` asks for it.
+  solved either on an incremental HiGHS model that primal simplex
+  re-solves from the previous optimal basis (objective changes only), or
+  fanned out in chunks across a process pool when ``n_jobs`` asks for it.
 
 The presolve reductions are exact:
 
@@ -44,6 +44,7 @@ from typing import Optional, Sequence, Union
 import numpy as np
 import scipy.optimize
 import scipy.sparse
+from scipy.optimize._highspy import _core as highs_core  # type: ignore[attr-defined]
 
 from repro.errors import SolverError
 from repro.parallel import (
@@ -72,6 +73,9 @@ _PIN_TOLERANCE = 1e-10
 
 #: Solution values below this certify "this coordinate can be zero".
 _ZERO_WITNESS_TOLERANCE = 1e-11
+
+#: HiGHS ``simplex_strategy`` value selecting primal simplex.
+_PRIMAL_SIMPLEX = 4
 
 
 @dataclass(frozen=True)
@@ -113,7 +117,7 @@ class BatchBoundsResult:
     num_lower_skipped:
         Minimisation LPs skipped thanks to a zero witness.
     engine:
-        ``"highs-incremental"``, ``"linprog"`` or ``"presolve-only"``.
+        ``"highs-incremental"`` or ``"presolve-only"``.
     n_jobs:
         Number of worker processes used (1 = in-process).
     """
@@ -321,30 +325,6 @@ def _rank_pinned_values(
 # ----------------------------------------------------------------------
 # incremental HiGHS engine
 # ----------------------------------------------------------------------
-def _load_highs_core():
-    """The HiGHS python bindings vendored by SciPy, or ``None``.
-
-    SciPy >= 1.15 ships ``scipy.optimize._highspy`` (the ``highspy``
-    sources built against the bundled HiGHS); a standalone ``highspy``
-    install works too.  Both expose the incremental model API that lets the
-    engine build the constraint matrix once and re-solve from the previous
-    optimal basis after an objective change.
-    """
-    try:
-        from scipy.optimize._highspy import _core  # type: ignore[attr-defined]
-
-        if hasattr(_core, "_Highs") or hasattr(_core, "Highs"):
-            return _core
-    except Exception:  # pragma: no cover - depends on the SciPy build
-        pass
-    try:  # pragma: no cover - exercised only with a standalone highspy
-        import highspy
-
-        return highspy
-    except Exception:
-        return None
-
-
 class _IncrementalBoundSolver:
     """One HiGHS model, re-solved per coordinate with a warm basis.
 
@@ -352,43 +332,44 @@ class _IncrementalBoundSolver:
     coordinate is then two objective flips (`changeColCost` +
     `changeObjectiveSense`), each re-solved by HiGHS from the basis of the
     previous solve — orders of magnitude cheaper than cold-start LPs.
+    The model runs on the HiGHS bindings vendored by SciPy (``scipy>=1.15``).
+
+    Only the objective changes between solves, so the previous optimal
+    basis stays *primal* feasible; the model therefore runs primal simplex,
+    which starts from that basis directly, where HiGHS's default dual
+    simplex would first repair its dual infeasibilities in a phase 1.
     """
 
     def __init__(self, csc: scipy.sparse.csc_matrix, rhs: np.ndarray) -> None:
-        core = _load_highs_core()
-        if core is None:
-            raise SolverError("no incremental HiGHS bindings available")
-        self._core = core
-        highs_cls = getattr(core, "_Highs", None) or getattr(core, "Highs")
         num_rows, num_vars = csc.shape
-        lp = core.HighsLp()
+        lp = highs_core.HighsLp()
         lp.num_col_ = num_vars
         lp.num_row_ = num_rows
         lp.col_cost_ = np.zeros(num_vars)
         lp.col_lower_ = np.zeros(num_vars)
-        lp.col_upper_ = np.full(num_vars, core.kHighsInf)
+        lp.col_upper_ = np.full(num_vars, highs_core.kHighsInf)
         lp.row_lower_ = np.asarray(rhs, dtype=float)
         lp.row_upper_ = np.asarray(rhs, dtype=float)
-        lp.a_matrix_.format_ = core.MatrixFormat.kColwise
+        lp.a_matrix_.format_ = highs_core.MatrixFormat.kColwise
         lp.a_matrix_.start_ = csc.indptr.astype(np.int32)
         lp.a_matrix_.index_ = csc.indices.astype(np.int32)
         lp.a_matrix_.value_ = csc.data.astype(float)
-        self._highs = highs_cls()
+        self._highs = highs_core._Highs()
         self._highs.setOptionValue("output_flag", False)
+        self._highs.setOptionValue("simplex_strategy", _PRIMAL_SIMPLEX)
         status = self._highs.passModel(lp)
-        if status not in (core.HighsStatus.kOk, core.HighsStatus.kWarning):
+        if status not in (highs_core.HighsStatus.kOk, highs_core.HighsStatus.kWarning):
             raise SolverError(f"HiGHS rejected the bounds model: {status}")
 
     def solve(self, index: int, maximise: bool) -> tuple[float, np.ndarray]:
         """Optimal value and solution of ``min/max x_index``."""
-        core = self._core
         highs = self._highs
         highs.changeColCost(index, 1.0)
-        sense = core.ObjSense.kMaximize if maximise else core.ObjSense.kMinimize
+        sense = highs_core.ObjSense.kMaximize if maximise else highs_core.ObjSense.kMinimize
         highs.changeObjectiveSense(sense)
         highs.run()
         model_status = highs.getModelStatus()
-        if model_status != core.HighsModelStatus.kOptimal:
+        if model_status != highs_core.HighsModelStatus.kOptimal:
             highs.changeColCost(index, 0.0)
             raise SolverError(
                 f"linear program failed: {highs.modelStatusToString(model_status)}"
@@ -399,46 +380,21 @@ class _IncrementalBoundSolver:
         return objective, solution
 
 
-class _LinprogBoundSolver:
-    """Cold-start fallback used when no HiGHS bindings are importable."""
-
-    def __init__(self, csc: scipy.sparse.csc_matrix, rhs: np.ndarray) -> None:
-        self._matrix = csc.tocsr()
-        self._rhs = np.asarray(rhs, dtype=float)
-        self._num_vars = csc.shape[1]
-
-    def solve(self, index: int, maximise: bool) -> tuple[float, np.ndarray]:
-        cost = np.zeros(self._num_vars)
-        cost[index] = 1.0
-        result = solve_linear_program(cost, self._matrix, self._rhs, maximise=maximise)
-        return result.objective, result.x
-
-
-def _make_bound_solver(csc: scipy.sparse.csc_matrix, rhs: np.ndarray):
-    """Prefer the incremental engine; fall back to per-LP ``linprog``."""
-    try:
-        return _IncrementalBoundSolver(csc, rhs), "highs-incremental"
-    # The fallback is recorded in the returned engine label, which the
-    # batch surfaces in its diagnostics.
-    except SolverError:  # reprolint: allow[fault-handling]
-        return _LinprogBoundSolver(csc, rhs), "linprog"
-
-
 def _solve_bound_chunk(
     csc: scipy.sparse.csc_matrix,
     rhs: np.ndarray,
     indices: Sequence[int],
     presolve_lower: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray, int, int, str]:
+) -> tuple[np.ndarray, np.ndarray, int, int]:
     """Bound ``indices`` on one solver instance, sharing zero witnesses.
 
-    Returns ``(lower, upper, num_lps, num_lower_skipped, engine)`` with the
+    Returns ``(lower, upper, num_lps, num_lower_skipped)`` with the
     bound arrays aligned to ``indices``.  The maximisation LP runs first:
     its solution is a feasible point, and every coordinate at zero in a
     feasible point has an exact lower bound of zero — so later minimisation
     LPs whose propagated lower bound is already zero can be skipped.
     """
-    solver, engine = _make_bound_solver(csc, rhs)
+    solver = _IncrementalBoundSolver(csc, rhs)
     zero_witness = np.zeros(csc.shape[1], dtype=bool)
     lower = np.empty(len(indices))
     upper = np.empty(len(indices))
@@ -457,7 +413,7 @@ def _solve_bound_chunk(
             zero_witness |= solution <= _ZERO_WITNESS_TOLERANCE
         lower[out] = lo
         upper[out] = up
-    return lower, upper, num_lps, num_skipped, engine
+    return lower, upper, num_lps, num_skipped
 
 
 def _solve_shared_chunk(model_ref: PayloadRef, indices: Sequence[int]):
@@ -578,7 +534,8 @@ def bound_variables_batch(
             )
         finally:
             release_payload(model_ref)
-        for chunk, (chunk_lower, chunk_upper, lps, skipped, chunk_engine) in zip(
+        engine = "highs-incremental"
+        for chunk, (chunk_lower, chunk_upper, lps, skipped) in zip(
             chunks, chunk_results
         ):
             for offset, pos in enumerate(chunk):
@@ -586,7 +543,6 @@ def bound_variables_batch(
                 upper[pos] = chunk_upper[offset]
             num_lps += lps
             num_skipped += skipped
-            engine = chunk_engine
 
     return BatchBoundsResult(
         indices=tuple(index_list),

@@ -109,10 +109,14 @@ class LoadProjection:
         return float("inf") if peak <= 0 else 1.0 / peak
 
     @property
+    def congested(self) -> np.ndarray:
+        """Boolean mask over ``link_names``: utilisation above the threshold."""
+        return self.utilisations > self.threshold
+
+    @property
     def congested_links(self) -> tuple[str, ...]:
         """Links whose utilisation exceeds the threshold, canonical order."""
-        over = self.utilisations > self.threshold
-        return tuple(name for name, flag in zip(self.link_names, over) if flag)
+        return tuple(self.link_names[index] for index in np.flatnonzero(self.congested))
 
     def utilisation_of(self, link_name: str) -> float:
         """Utilisation of one link by name."""

@@ -150,8 +150,9 @@ def _case_record(
             congestion_false_alarms=0,
             failure=result.failure,
         )
-    true_congested = set(truth_projection.congested_links)
-    predicted_congested = set(estimate_projection.congested_links)
+    # Both projections share the base network's link order.
+    true_congested = truth_projection.congested
+    predicted_congested = estimate_projection.congested
     utilisation_errors = np.abs(
         estimate_projection.utilisations - truth_projection.utilisations
     )
@@ -169,9 +170,9 @@ def _case_record(
             estimate_projection.max_utilisation - truth_projection.max_utilisation
         ),
         mean_utilisation_error=float(utilisation_errors.mean()),
-        congestion_hits=len(true_congested & predicted_congested),
-        congestion_misses=len(true_congested - predicted_congested),
-        congestion_false_alarms=len(predicted_congested - true_congested),
+        congestion_hits=int(np.count_nonzero(true_congested & predicted_congested)),
+        congestion_misses=int(np.count_nonzero(true_congested & ~predicted_congested)),
+        congestion_false_alarms=int(np.count_nonzero(predicted_congested & ~true_congested)),
         degradation=result.degradation,
     )
 

@@ -5,8 +5,8 @@ the failure policy a production deployment needs spelled out:
 
 * a cooperative :class:`~repro.resilience.budget.SolverBudget` bounding
   each attempt by wall-clock time and/or solver iterations (the
-  link-space Newton solves, the FISTA projected gradient and the IPF
-  scaling loops all tick the budget);
+  link-space Newton solves, the QP solver and the IPF scaling loops all
+  tick the budget);
 * bounded retry of the primary method, each retry rerunning the attempt
   unchanged;
 * a declared fallback chain (e.g. ``entropy → tomogravity → gravity``)

@@ -30,13 +30,17 @@ CONVENTIONS = {
         "snapshot",
         {"iterations", "converged", "residual_norm", "optimality"},
     ),
-    "cao": ({}, "series", {"iterations"}),
+    "cao": ({}, "series", {"iterations", "converged", "optimality"}),
     "entropy": (
         {},
         "snapshot",
         {"iterations", "converged", "residual_norm", "optimality"},
     ),
-    "fanout": ({}, "series", {"residual_norm"}),
+    "fanout": (
+        {},
+        "series",
+        {"iterations", "converged", "residual_norm", "optimality"},
+    ),
     "generalized-gravity": ({"peering_nodes": set()}, "snapshot", set()),
     "gravity": ({}, "snapshot", set()),
     "kl-projection": ({}, "snapshot", {"iterations", "converged"}),
@@ -51,7 +55,7 @@ CONVENTIONS = {
         "snapshot",
         {"iterations", "converged", "residual_norm", "optimality"},
     ),
-    "vardi": ({}, "series", {"iterations", "converged"}),
+    "vardi": ({}, "series", {"iterations", "converged", "optimality"}),
     "worst-case-bounds": ({}, "snapshot", set()),
 }
 

@@ -109,6 +109,35 @@ class TestMRE:
         )
 
 
+class TestVectorisedMetricsMatchThePairLoop:
+    """The vectorised metrics against the per-pair loop they replaced."""
+
+    @staticmethod
+    def loop_relative_errors(estimate, truth, threshold):
+        errors = {}
+        for pair, true_value in truth:
+            if true_value <= threshold or true_value <= 0:
+                continue
+            errors[pair] = abs(estimate.demand(pair) - true_value) / true_value
+        return errors
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_bit_identical(self, seed):
+        rng = np.random.default_rng(seed)
+        pairs = tuple(NodePair(f"N{i}", f"N{j}") for i in range(12) for j in range(12) if i != j)
+        truth_values = rng.exponential(size=len(pairs)) * (rng.random(len(pairs)) > 0.2)
+        truth = TrafficMatrix(pairs, truth_values)
+        estimate = TrafficMatrix(pairs, rng.exponential(size=len(pairs)))
+        for threshold in (0.0, 0.5, float(np.nextafter(top_demand_threshold(truth), 0.0))):
+            reference = self.loop_relative_errors(estimate, truth, threshold)
+            errors = relative_errors(estimate, truth, threshold=threshold)
+            assert list(errors) == list(reference)
+            assert list(errors.values()) == list(reference.values())
+            assert mean_relative_error(estimate, truth, threshold=threshold) == float(
+                np.mean(list(reference.values()))
+            )
+
+
 class TestOtherMetrics:
     def test_rmse(self):
         truth = matrix(np.zeros(12))

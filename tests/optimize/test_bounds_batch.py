@@ -252,3 +252,29 @@ class TestScenarioParity:
         # only fires on the denser scenarios, e.g. europe.)
         assert result.num_lps_solved < 2 * num_pairs
         assert result.num_pinned + result.num_tight + result.num_lower_skipped > 0
+
+    def test_america_bounds_match_the_recorded_dual_simplex_bounds(self):
+        """Primal-simplex re-solves give the bounds dual simplex gave.
+
+        ``data/america_worst_case_bounds.json`` holds the bounds the engine
+        produced with HiGHS's default (dual simplex) strategy on
+        ``america_scenario()``; the worst-case-bound estimator must
+        reproduce them to 1e-9 of the largest bound.
+        """
+        import json
+        import pathlib
+
+        from repro.datasets import america_scenario
+        from repro.estimation import get_estimator
+
+        path = pathlib.Path(__file__).parent / "data" / "america_worst_case_bounds.json"
+        reference = json.loads(path.read_text())
+        problem = america_scenario().snapshot_problem()
+        diagnostics = get_estimator("worst-case-bounds").estimate(problem).diagnostics
+        scale = max(reference["upper"])
+        np.testing.assert_allclose(
+            diagnostics["lower_bounds"], reference["lower"], rtol=1e-9, atol=1e-9 * scale
+        )
+        np.testing.assert_allclose(
+            diagnostics["upper_bounds"], reference["upper"], rtol=1e-9, atol=1e-9 * scale
+        )

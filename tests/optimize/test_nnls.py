@@ -1,4 +1,4 @@
-"""Tests for the NNLS solvers."""
+"""Tests for the Lawson–Hanson NNLS reference."""
 
 from __future__ import annotations
 
@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from repro.errors import SolverError
-from repro.optimize import nnls, nnls_active_set, nnls_projected_gradient
+from repro.optimize import nnls_active_set
 
 
 def random_problem(rows, cols, seed=0):
@@ -29,55 +29,3 @@ class TestActiveSet:
             nnls_active_set(np.ones((3, 2)), np.ones(4))
         with pytest.raises(SolverError):
             nnls_active_set(np.ones(3), np.ones(3))
-
-
-class TestProjectedGradient:
-    def test_matches_active_set_on_small_problem(self):
-        A, b, _ = random_problem(40, 15, seed=2)
-        exact = nnls_active_set(A, b)
-        approx = nnls_projected_gradient(A, b, max_iterations=20000, tolerance=1e-14)
-        assert approx.residual_norm == pytest.approx(exact.residual_norm, abs=1e-4)
-        assert np.allclose(approx.x, exact.x, atol=1e-3)
-
-    def test_enforces_nonnegativity_when_unconstrained_solution_is_negative(self):
-        A = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
-        b = np.array([-1.0, 2.0, 1.0])
-        result = nnls_projected_gradient(A, b)
-        assert np.all(result.x >= 0)
-        assert result.x[0] == pytest.approx(0.0, abs=1e-6)
-
-    def test_warm_start_accepted(self):
-        A, b, x_true = random_problem(20, 8, seed=3)
-        result = nnls_projected_gradient(A, b, x0=x_true)
-        assert result.residual_norm < 1e-6
-
-    def test_invalid_inputs_rejected(self):
-        A, b, _ = random_problem(5, 3, seed=4)
-        with pytest.raises(SolverError):
-            nnls_projected_gradient(A, b, max_iterations=0)
-        with pytest.raises(SolverError):
-            nnls_projected_gradient(A, b, x0=np.ones(7))
-
-    def test_reports_iterations_and_convergence(self):
-        A, b, _ = random_problem(20, 8, seed=5)
-        result = nnls_projected_gradient(A, b)
-        assert result.iterations > 0
-        assert result.converged
-
-
-class TestDispatcher:
-    def test_auto_uses_active_set_for_small_problems(self):
-        A, b, _ = random_problem(30, 10, seed=6)
-        result = nnls(A, b)
-        assert result.residual_norm < 1e-8
-
-    def test_explicit_solver_selection(self):
-        A, b, _ = random_problem(30, 10, seed=7)
-        pg = nnls(A, b, prefer="projected-gradient")
-        act = nnls(A, b, prefer="active-set")
-        assert pg.residual_norm == pytest.approx(act.residual_norm, abs=1e-4)
-
-    def test_unknown_preference_rejected(self):
-        A, b, _ = random_problem(5, 3, seed=8)
-        with pytest.raises(SolverError):
-            nnls(A, b, prefer="magic")

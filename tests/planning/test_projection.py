@@ -41,6 +41,18 @@ class TestProjectLoad:
         projection = project_load(routing, triangle_traffic, threshold=0.09)
         assert projection.congested_links == ("A->B",)
 
+    def test_congested_mask_matches_the_named_links(self, triangle_network, triangle_traffic):
+        routing = build_routing_matrix(triangle_network)
+        for threshold in (0.01, 0.05, 0.09, 1.0):
+            projection = project_load(routing, triangle_traffic, threshold=threshold)
+            names = tuple(
+                name
+                for name, utilisation in zip(projection.link_names, projection.utilisations)
+                if utilisation > threshold
+            )
+            assert projection.congested_links == names
+            assert projection.congested.sum() == len(names)
+
     def test_top_links_sorted(self, triangle_network, triangle_traffic):
         routing = build_routing_matrix(triangle_network)
         top = project_load(routing, triangle_traffic).top_links(2)

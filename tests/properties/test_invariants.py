@@ -12,8 +12,7 @@ from repro.optimize import (
     generalized_iterative_scaling,
     kl_divergence,
     kruithof_scaling,
-    nnls_projected_gradient,
-    nonnegative_quadratic_program,
+    solve_qp,
 )
 from repro.routing import ShortestPathRouter, build_routing_matrix
 from repro.topology import NodePair, random_backbone
@@ -114,25 +113,28 @@ class TestSolverProperties:
         rows=st.integers(min_value=3, max_value=12),
         cols=st.integers(min_value=2, max_value=8),
     )
-    def test_nnls_solution_is_nonnegative_and_no_worse_than_zero(self, seed, rows, cols):
+    def test_qp_nnls_solution_is_nonnegative_and_no_worse_than_zero(self, seed, rows, cols):
         rng = np.random.default_rng(seed)
         A = rng.normal(size=(rows, cols))
         b = rng.normal(size=rows)
-        result = nnls_projected_gradient(A, b, max_iterations=3000)
+        result = solve_qp(A.T @ A, A.T @ b)
         assert np.all(result.x >= 0)
-        assert result.residual_norm <= np.linalg.norm(b) + 1e-8
+        assert np.linalg.norm(A @ result.x - b) <= np.linalg.norm(b) + 1e-8
+        assert result.optimality <= 1e-10 * max(1.0, float(np.abs(A.T @ b).max()))
 
     @SETTINGS
     @given(seed=st.integers(min_value=0, max_value=10_000), size=st.integers(min_value=2, max_value=6))
-    def test_nonnegative_qp_never_beats_unconstrained_optimum(self, seed, size):
+    def test_qp_never_beats_unconstrained_optimum(self, seed, size):
         rng = np.random.default_rng(seed)
         root = rng.normal(size=(size, size))
         G = root.T @ root + 0.1 * np.eye(size)
         h = rng.normal(size=size)
-        result = nonnegative_quadratic_program(G, h)
+        result = solve_qp(G, h)
         unconstrained = np.linalg.solve(G, h)
-        unconstrained_value = float(unconstrained @ G @ unconstrained - 2 * h @ unconstrained)
-        assert result.objective >= unconstrained_value - 1e-6
+        unconstrained_value = float(0.5 * unconstrained @ G @ unconstrained - h @ unconstrained)
+        value = float(0.5 * result.x @ G @ result.x - h @ result.x)
+        assert value >= unconstrained_value - 1e-9
+        assert value <= 1e-12  # x = 0 is feasible with value 0
         assert np.all(result.x >= 0)
 
     @SETTINGS
